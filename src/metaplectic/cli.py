@@ -86,14 +86,9 @@ def _tol_option(fn):
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="metaplectic")
-@click.option("--seed", type=int, default=None,
-              help="Seed for randomized cross-checks (reserved).")
-@click.pass_context
-def main(ctx, seed):
+def main():
     """Calculus of complex symplectic words, Gaussian states, covariant
     time-frequency representations, and quadratic flows."""
-    ctx.ensure_object(dict)
-    ctx.obj["seed"] = seed
 
 
 # ----------------------------------------------------------------------------
@@ -362,3 +357,7 @@ def evolve(example, ham_path, alpha, beta, dim, d1, d2, t_max, t_steps,
         _emit(out, formats.rows_csv(rows, evoprop.EVOLVE_COLUMNS))
     else:
         _emit_json(out, rows)
+
+
+if __name__ == "__main__":
+    main()

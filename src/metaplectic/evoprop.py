@@ -40,6 +40,8 @@ from .sympcore import (
     matrix_polar,
     omega,
     require_symplectic,
+    semidefinite,
+    sym_part,
     symplectic_svd,
 )
 
@@ -77,12 +79,10 @@ class QuadraticHamiltonian:
         Q = np.asarray(self.Qmat, dtype=complex)
         if Q.shape != (2 * self.d, 2 * self.d):
             raise ValidationError(f"coefficient matrix must be {2*self.d} x {2*self.d}")
-        if np.linalg.norm(Q - Q.T) > 1e-10 * max(1.0, np.linalg.norm(Q)):
-            raise ValidationError("coefficient matrix must be symmetric")
-        w = np.linalg.eigvalsh((Q.real + Q.real.T) / 2)
-        if w.size and w[0] < -1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        Q = sym_part(Q, "coefficient matrix", tol=1e-10)
+        if not semidefinite(Q.real, 1e-10):
             raise ValidationError("forward evolution needs Re Q >= 0")
-        self.Qmat = (Q + Q.T) / 2
+        self.Qmat = Q
 
 
 def hamilton_map(H):
@@ -130,54 +130,20 @@ def weyl_symbol_Z(Z, tol=1e-9):
     return GaussianState(2 * d, c, Q, np.zeros(2 * d), allow_degenerate=True)
 
 
-def _relative_sheet(V, f, g, fV, gV):
-    """Sign ``eps_f eps_g`` relating the two principal-branch applications of
-    a real-parameter frame to one common lift of the double cover.
-
-    ``apply_matrix`` realizes ``+V_hat`` or ``-V_hat`` depending on where the
-    principal determinant branch lands for each input state.  Unitarity of
-    the real frame gives ``<V_hat f, V_hat g> = <f, g>``, so the product of
-    the two signs is the (exactly ±1) ratio of the invariant pairing to the
-    computed one; near-orthogonal pairs are routed through a shifted probe
-    that overlaps both states.
-    """
-    num = inner_product(f, g)
-    den = inner_product(fV, gV)
-    floor = 1e-8 * norm(f) * norm(g)
-    if min(abs(num), abs(den)) > floor:
-        return 1.0 if (num / den).real >= 0 else -1.0
-    d = f.d
-    for k in range(1, 5):
-        h = GaussianState(d, 1.0, 1j * np.eye(d), 0.35 * k * np.ones(d))
-        hV = apply_matrix(V, h)
-        nf, df_ = inner_product(f, h), inner_product(fV, hV)
-        ng, dg = inner_product(g, h), inner_product(gV, hV)
-        fl_f = 1e-8 * norm(f) * norm(h)
-        fl_g = 1e-8 * norm(g) * norm(h)
-        if min(abs(nf), abs(df_)) > fl_f and min(abs(ng), abs(dg)) > fl_g:
-            ef = 1.0 if (nf / df_).real >= 0 else -1.0
-            eg = 1.0 if (ng / dg).real >= 0 else -1.0
-            return ef * eg  # the probe's own sign squares away
-    raise NumericalError("could not align the frame sheets for the pairing")
-
-
 def weyl_pairing(Z, f, g, tol=1e-9):
     """Both sides of the defining pairing ``<a, W(g, f)> = <Z_hat f, g>``.
 
     The right-hand side is evaluated through the normal form,
     ``<Xi_hat(V_hat f), V_hat g>``: the frame appears once in each slot and
-    the atom acts by exact closed-form tokens.  The two frame applications
-    are realigned to a common sheet of the double cover first — the
-    principal determinant branch chooses its sign per input state, so the
-    frame phase only cancels after the correction.  Returns ``(lhs, rhs)``.
+    the atom acts by exact closed-form tokens.  ``apply_matrix`` realizes
+    one operator for the frame, so its sign cancels between the two slots.
+    Returns ``(lhs, rhs)``.
     """
     a = weyl_symbol_Z(Z, tol)
     lhs = inner_product(a, wigner_gaussian(g, f))
     V, theta, delta = atomic_decompose(Z, tol)
     fV = apply_matrix(V, f)
-    gV = apply_matrix(V, g)
-    eps = _relative_sheet(V, f, g, fV, gV)
-    rhs = eps * inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), gV)
+    rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), apply_matrix(V, g))
     return lhs, rhs
 
 
@@ -241,10 +207,12 @@ def combined_bound(S, p=2.0, q=None, s=0.0):
 # ----------------------------------------------------------------------------
 
 def heat_hamiltonian(alpha=1.0, beta=1.0, d=1):
-    """Heat-type generator with diffusion strength ``alpha`` and dispersion
+    """Heat-type generator with dispersion ``alpha`` and diffusion strength
     ``beta``: the coefficient matrix is ``pi (beta - i alpha) I`` in the
     frequency slot, and the flow is the complex shear
-    ``S_t = [[I, -2 pi (alpha + i beta) t I], [0, I]]``."""
+    ``S_t = [[I, -2 pi (alpha + i beta) t I], [0, I]]``.  The L^2 norm of
+    the standard Gaussian decays as ``(1 + 2 pi beta t)^{-d/4}``; the
+    dispersion alone leaves it unchanged."""
     Q = np.zeros((2 * d, 2 * d), dtype=complex)
     Q[d:, d:] = np.pi * (beta - 1j * alpha) * np.eye(d)
     return QuadraticHamiltonian(d, Q)

@@ -8,6 +8,7 @@ files.  Complex numbers are ``[re, im]`` pairs throughout.
 
 from __future__ import annotations
 
+import cmath
 import json
 import struct
 
@@ -17,7 +18,7 @@ from .errors import FormatError, ValidationError
 from .gausscalc import GaussianState
 from .gridlab import GridFn, GridSpec
 from .evoprop import QuadraticHamiltonian
-from .sympcore import Token, atom_p, atom_r, chirp, fourier, multiplier, rescale
+from .sympcore import atom_p, atom_r, chirp, fourier, multiplier, rescale
 from .tfrzoo import TFRSpec
 
 __all__ = [
@@ -82,7 +83,13 @@ def load_complex(obj, what="complex entry"):
     re, im = obj
     _expect(isinstance(re, (int, float)) and not isinstance(re, bool), f"{what} real part must be a number")
     _expect(isinstance(im, (int, float)) and not isinstance(im, bool), f"{what} imaginary part must be a number")
-    return complex(re, im)
+    # json reads NaN and Infinity as floats, and integer literals of any size
+    try:
+        z = complex(re, im)
+    except OverflowError:
+        raise FormatError(f"{what} must be finite")
+    _expect(cmath.isfinite(z), f"{what} must be finite")
+    return z
 
 
 def dump_matrix(M, d):

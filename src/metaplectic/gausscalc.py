@@ -19,13 +19,16 @@ Conventions fixed once:
 * square roots of determinants are taken eigenvalue-by-eigenvalue on the
   principal branch, which matches the continuous branch tracking of the
   metaplectic phase for every word built from the generator tokens;
+* the action of a matrix fixes that root once per matrix and continues it
+  from the ground state to every other state, so a matrix acts as one
+  linear operator, defined up to a global sign;
 * the Wigner distribution uses the *classical* partial Fourier transform,
   so that ``W(f, f)`` is real for every ``f``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +38,9 @@ from .sympcore import (
     blocks,
     chirp,
     factor_R_theta,
-    fourier,
     rescale,
+    semidefinite,
+    sym_part,
     word_dim,
     word_to_matrix,
 )
@@ -46,7 +50,7 @@ __all__ = [
     "standard_gaussian",
     "conjugate_state",
     "eval_state",
-    "eval",
+    "det_pow",
     "gaussian_integral",
     "shift",
     "complex_shift",
@@ -76,15 +80,11 @@ class GaussianState:
         b = np.atleast_1d(np.asarray(self.b, dtype=complex))
         if Q.shape != (d, d) or b.shape != (d,):
             raise ValidationError(f"state shape mismatch: d={d}, Q {Q.shape}, b {b.shape}")
-        if np.linalg.norm(Q - Q.T) > 1e-10 * max(1.0, np.linalg.norm(Q)):
-            raise ValidationError("Q must be symmetric")
-        Q = (Q + Q.T) / 2
-        w = np.linalg.eigvalsh(Q.imag)
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+        Q = sym_part(Q, "Q", tol=1e-10)
         if self.allow_degenerate:
-            if w[0] < -1e-9 * scale:
+            if not semidefinite(Q.imag, 1e-9):
                 raise ValidationError("Im Q must be positive semidefinite")
-        elif w[0] <= 1e-14 * scale:
+        elif not semidefinite(Q.imag, 1e-14, definite=True):
             raise ValidationError("Im Q must be positive definite (decaying state)")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "c", complex(self.c))
@@ -124,10 +124,7 @@ def eval_state(f, x):
     return acc
 
 
-eval = eval_state
-
-
-def _det_pow(M, power):
+def det_pow(M, power):
     """``det(M)^power`` as a product of per-eigenvalue principal powers.
 
     This is the branch convention used throughout: it is continuous along
@@ -154,7 +151,7 @@ def gaussian_integral(M, z):
     w = np.linalg.eigvalsh(ReM)
     if w[0] <= 0:
         raise ValidationError("gaussian_integral requires Re M positive definite")
-    return _det_pow(M, -0.5) * np.exp(-np.pi * np.linalg.solve(M, z) @ z)
+    return det_pow(M, -0.5) * np.exp(-np.pi * np.linalg.solve(M, z) @ z)
 
 
 # ----------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def _apply_fourier(f):
     Qi = np.linalg.inv(f.Q)
     Qp = -(Qi + Qi.T) / 2
     bp = Qi @ f.b
-    c = f.c * np.exp(-0.25j * np.pi * d) * _det_pow(-1j * f.Q, -0.5) \
+    c = f.c * np.exp(-0.25j * np.pi * d) * det_pow(-1j * f.Q, -0.5) \
         * np.exp(-1j * np.pi * (Qi @ f.b) @ f.b)
     return GaussianState(d, c, Qp, bp, f.allow_degenerate)
 
@@ -258,9 +255,14 @@ def apply_matrix(S, f, tol=1e-10):
         b' = D b - Q' B b
         c' = c det(A + B Q)^{-1/2} exp(-i pi (B b).(D b)) exp(i pi Q'(B b).(B b))
 
-    The phase of the determinant root is the per-eigenvalue principal
-    branch, so the result agrees with the word route up to one global
-    unimodular constant per word (and exactly in ``Q`` and ``b``).
+    The determinant root is fixed once per matrix.  With ``T0 = A + iB``
+    and ``lam`` the eigenvalues of ``T0^{-1} (A + B Q)``, along the segment
+    ``Q_s = iI + s (Q - iI)`` we have ``det(A + B Q_s) = det(T0) prod_j
+    (1 + s (lam_j - 1))``; each factor runs on a straight segment from 1 that
+    misses 0, so ``det_pow(T0, -1/2) prod_j lam_j^{-1/2}`` is the
+    continuation from the ground state.  The result is one linear operator,
+    equal to the word route up to one global sign (and exactly in ``Q`` and
+    ``b``).
     """
     if isinstance(f, list):
         return [apply_matrix(S, g, tol) for g in f]
@@ -269,15 +271,19 @@ def apply_matrix(S, f, tol=1e-10):
     d = f.d
     if A.shape[0] != d:
         raise ValidationError("matrix dimension does not match state dimension")
+    T0 = A + 1j * B
     T = A + B @ f.Q
-    lam = np.linalg.eigvals(T)
+    try:
+        lam = np.linalg.eigvals(np.linalg.solve(T0, T))
+    except np.linalg.LinAlgError:
+        raise DecompositionError("matrix action is singular on the ground state")
     if np.min(np.abs(lam)) < tol * max(1.0, float(np.max(np.abs(lam)))):
         raise DecompositionError("matrix action is singular on this state")
     Qp = (C + D @ f.Q) @ np.linalg.inv(T)
     Qp = (Qp + Qp.T) / 2
     Bb = B @ f.b
     bp = D @ f.b - Qp @ Bb
-    c = f.c * _det_pow(T, -0.5) \
+    c = f.c * det_pow(T0, -0.5) * np.prod(lam ** -0.5) \
         * np.exp(-1j * np.pi * Bb @ (D @ f.b) + 1j * np.pi * (Qp @ Bb) @ Bb)
     return GaussianState(d, c, Qp, bp, f.allow_degenerate)
 
@@ -324,7 +330,7 @@ def _partial_fourier_second(f, d1):
         [(Q12 @ S22).T, -S22],
     ])
     bp = np.r_[b1 - Q12 @ (S22 @ b2), S22 @ b2]
-    c = f.c * _det_pow(-1j * Q22, -0.5) * np.exp(-1j * np.pi * (S22 @ b2) @ b2)
+    c = f.c * det_pow(-1j * Q22, -0.5) * np.exp(-1j * np.pi * (S22 @ b2) @ b2)
     return GaussianState(d, c, Qp, bp, f.allow_degenerate)
 
 

@@ -223,28 +223,24 @@ def _rescale_axis(vals, spec, sigma, axis):
 def _apply_rescale(f, E, maslov):
     spec = f.spec
     E = np.asarray(E, dtype=float)
-    phase = (1j) ** (maslov % 4)
+    v = f.values
     if spec.d == 1:
-        sigma = E[0, 0]
-        v = _rescale_axis(f.values, spec, sigma, 0)
-        return GridFn(spec, phase * np.sqrt(abs(sigma)) * v)
-    offdiag = abs(E[0, 1]) + abs(E[1, 0])
-    ondiag = abs(E[0, 0]) + abs(E[1, 1])
-    scale = max(1.0, float(np.max(np.abs(E))))
-    if offdiag <= 1e-12 * scale:
-        v = _rescale_axis(f.values, spec, E[0, 0], 0)
-        v = _rescale_axis(v, spec, E[1, 1], 1)
-        root = np.sqrt(abs(E[0, 0] * E[1, 1]))
-        return GridFn(spec, phase * root * v)
-    if ondiag <= 1e-12 * scale:
-        # f(E x) with antidiagonal E factors through an axis swap followed by
-        # the diagonal rescale diag(E[1,0], E[0,1])
-        v = f.values.T.copy()
-        v = _rescale_axis(v, spec, E[1, 0], 0)
-        v = _rescale_axis(v, spec, E[0, 1], 1)
-        root = np.sqrt(abs(E[0, 1] * E[1, 0]))
-        return GridFn(spec, phase * root * v)
-    raise UnsupportedRescale("2-d grids support diagonal or antidiagonal rescales only")
+        factors = [E[0, 0]]
+    else:
+        scale = max(1.0, float(np.max(np.abs(E))))
+        if abs(E[0, 1]) + abs(E[1, 0]) <= 1e-12 * scale:
+            factors = [E[0, 0], E[1, 1]]
+        elif abs(E[0, 0]) + abs(E[1, 1]) <= 1e-12 * scale:
+            # f(E x) with antidiagonal E factors through an axis swap followed by
+            # the diagonal rescale diag(E[1,0], E[0,1])
+            v = v.T.copy()
+            factors = [E[1, 0], E[0, 1]]
+        else:
+            raise UnsupportedRescale("2-d grids support diagonal or antidiagonal rescales only")
+    for axis, sigma in enumerate(factors):
+        v = _rescale_axis(v, spec, sigma, axis)
+    root = np.sqrt(abs(np.prod(factors)))
+    return GridFn(spec, (1j) ** (maslov % 4) * root * v)
 
 
 def grid_apply_token(t, f):

@@ -47,6 +47,8 @@ __all__ = [
     "from_blocks",
     "is_symplectic",
     "require_symplectic",
+    "sym_part",
+    "semidefinite",
     "positivity_matrix",
     "PositivityReport",
     "classify_positivity",
@@ -121,9 +123,12 @@ def is_symplectic(S, tol=1e-10):
     if S.ndim != 2 or S.shape[1] != n or n % 2:
         return False
     J = omega(n // 2)
-    defect = S.T @ J @ S - J
-    scale = max(1.0, np.linalg.norm(S) ** 2)
-    return bool(np.linalg.norm(defect) <= tol * scale)
+    defect = np.linalg.norm(S.T @ J @ S - J)
+    scale = np.linalg.norm(S) ** 2
+    # an overflowing entry makes the defect or the scale inf or nan, and
+    # nothing then certifies the identity
+    return bool(np.isfinite(defect) and np.isfinite(scale)
+                and defect <= tol * max(1.0, scale))
 
 
 def require_symplectic(S, tol=1e-10, what="matrix"):
@@ -133,13 +138,32 @@ def require_symplectic(S, tol=1e-10, what="matrix"):
     return S
 
 
-def _sym_part(M, what, tol=1e-8):
+def sym_part(M, what, tol=1e-8):
     """Symmetrize, guarding against genuinely asymmetric input."""
     M = np.asarray(M)
     asym = np.linalg.norm(M - M.T)
     if asym > tol * max(1.0, np.linalg.norm(M)):
         raise ValidationError(f"{what} is not symmetric (relative defect {asym:.2e})")
     return (M + M.T) / 2
+
+
+def semidefinite(H, tol, definite=False):
+    """Is the symmetric part of real ``H`` positive semidefinite (or, with
+    ``definite``, positive definite) up to the relative margin
+    ``tol * max(1, max |eig|)``?  The negative side is tested on ``-H``."""
+    w = np.linalg.eigvalsh((H + H.T) / 2)
+    if not w.size:
+        return True
+    margin = tol * max(1.0, float(np.max(np.abs(w))))
+    return bool(w[0] > margin) if definite else bool(w[0] >= -margin)
+
+
+def _real_invertible(M, tol):
+    """``(real, invertible)`` verdicts for a square block, each with a
+    relative margin ``tol``; a real block gets the cheaper real SVD."""
+    real = bool(np.linalg.norm(M.imag) <= tol * max(1.0, np.linalg.norm(M)))
+    sv = np.linalg.svd(M.real if real else M, compute_uv=False)
+    return real, bool(sv[-1] > tol * max(1.0, sv[0]))
 
 
 # ----------------------------------------------------------------------------
@@ -242,7 +266,7 @@ def schur_psd_test(M, tol=1e-10):
         Overall verdict and a certificate with the individual clauses and
         the direct minimum eigenvalue.
     """
-    M = _sym_part(np.asarray(M, dtype=float), "schur test input")
+    M = sym_part(np.asarray(M, dtype=float), "schur test input")
     n = M.shape[0]
     if n % 2:
         raise ValidationError("schur_psd_test expects an even-dimensional matrix")
@@ -310,16 +334,8 @@ def tensor_interleave(S1, S2):
     with each quadrant the block diagonal of the corresponding quadrants, so
     that the symplectic form on the joint phase space is again standard.
     """
-    A1, B1, C1, D1 = blocks(np.asarray(S1, dtype=complex))
-    A2, B2, C2, D2 = blocks(np.asarray(S2, dtype=complex))
-
-    def dsum(X, Y):
-        out = np.zeros((X.shape[0] + Y.shape[0], X.shape[1] + Y.shape[1]), dtype=complex)
-        out[:X.shape[0], :X.shape[1]] = X
-        out[X.shape[0]:, X.shape[1]:] = Y
-        return out
-
-    return from_blocks(dsum(A1, A2), dsum(B1, B2), dsum(C1, C2), dsum(D1, D2))
+    pairs = zip(blocks(np.asarray(S1, dtype=complex)), blocks(np.asarray(S2, dtype=complex)))
+    return from_blocks(*(sla.block_diag(X, Y) for X, Y in pairs))
 
 
 # ----------------------------------------------------------------------------
@@ -363,9 +379,8 @@ def fourier(d):
 
 def chirp(Q, tol=1e-10):
     """Multiplication by ``exp(i pi Q x . x)``; requires ``Im Q >= 0``."""
-    Q = _sym_part(np.atleast_2d(np.asarray(Q, dtype=complex)), "chirp parameter")
-    w = np.linalg.eigvalsh(Q.imag)
-    if w.size and w[0] < -tol * max(1.0, float(np.max(np.abs(w)))):
+    Q = sym_part(np.atleast_2d(np.asarray(Q, dtype=complex)), "chirp parameter")
+    if not semidefinite(Q.imag, tol):
         raise ValidationError("chirp parameter needs positive semidefinite imaginary part")
     return Token("chirp", Q.shape[0], mat=_freeze(Q))
 
@@ -373,11 +388,11 @@ def chirp(Q, tol=1e-10):
 def rescale(E, maslov=0, tol=1e-10):
     """Dilation ``f -> i^maslov |det E|^{1/2} f(E x)``; E real invertible."""
     E = np.atleast_2d(np.asarray(E, dtype=complex))
-    if np.linalg.norm(E.imag) > tol * max(1.0, np.linalg.norm(E)):
+    real, invertible = _real_invertible(E, tol)
+    if not real:
         raise ValidationError("rescale matrix must be real")
     E = E.real
-    sv = np.linalg.svd(E, compute_uv=False)
-    if sv[-1] <= tol * max(1.0, sv[0]):
+    if not invertible:
         raise ValidationError("rescale matrix must be invertible")
     return Token("rescale", E.shape[0], mat=_freeze(E), maslov=int(maslov) % 4)
 
@@ -385,9 +400,8 @@ def rescale(E, maslov=0, tol=1e-10):
 def multiplier(P, tol=1e-10):
     """Fourier-side chirp: multiplies the transform by ``exp(-i pi P xi . xi)``;
     requires ``Im P <= 0``."""
-    P = _sym_part(np.atleast_2d(np.asarray(P, dtype=complex)), "multiplier parameter")
-    w = np.linalg.eigvalsh(P.imag)
-    if w.size and w[-1] > tol * max(1.0, float(np.max(np.abs(w)))):
+    P = sym_part(np.atleast_2d(np.asarray(P, dtype=complex)), "multiplier parameter")
+    if not semidefinite(-P.imag, tol):
         raise ValidationError("multiplier parameter needs negative semidefinite imaginary part")
     return Token("multiplier", P.shape[0], mat=_freeze(P))
 
@@ -540,7 +554,8 @@ def matrix_polar(S, tol=1e-9):
     ValidationError
         If ``S`` is not symplectic or not positive.
     DecompositionError
-        If the spectrum touches the branch cut or ``U`` fails to be real.
+        If the spectrum touches the branch cut or ``U`` fails to be real
+        symplectic.
     """
     S = np.asarray(S, dtype=complex)
     rep = classify_positivity(S)
@@ -558,6 +573,10 @@ def matrix_polar(S, tol=1e-9):
     if np.linalg.norm(U.imag) > max(tol, 1e-8) * normU:
         raise DecompositionError("real factor of the polar decomposition came out complex")
     U = U.real
+    if not is_symplectic(U):
+        # an ill-conditioned Z leaves U too far from the group for the
+        # decompositions that consume it
+        raise DecompositionError("real factor of the polar decomposition is not symplectic")
     residual = float(np.linalg.norm(S - U @ Z) / max(1e-300, np.linalg.norm(S)))
     if residual > max(100 * tol, 1e-7):
         raise DecompositionError(f"polar residual {residual:.2e} exceeds tolerance")
@@ -573,7 +592,7 @@ def _williamson(P, tol=1e-9):
     by a real Schur form; the same orthogonal matrix then block-diagonalizes
     both half powers of ``P``, and a diagonal rescaling symplectifies it.
     """
-    P = _sym_part(np.asarray(P, dtype=float), "normal form input")
+    P = sym_part(np.asarray(P, dtype=float), "normal form input")
     n = P.shape[0]
     d = n // 2
     J = omega(d)
@@ -776,21 +795,16 @@ def classify_block_triangular(S, tol=1e-9):
         diag, off = D, D.T @ B
         sign = -1
 
-    a_real = np.linalg.norm(diag.imag) <= tol * max(1.0, np.linalg.norm(diag))
-    sv = np.linalg.svd(diag, compute_uv=False)
-    a_invertible = bool(sv[-1] > tol * max(1.0, sv[0]))
-    Wim = (off.imag + off.imag.T) / 2
-    ww = np.linalg.eigvalsh(sign * Wim)
-    wscale = max(1.0, float(np.max(np.abs(ww))) if ww.size else 0.0)
-    signature_ok = bool(ww[0] >= -tol * wscale)
+    a_real, a_invertible = _real_invertible(diag, tol)
+    signature_ok = semidefinite(sign * off.imag, tol)
 
-    structural = bool(a_real and a_invertible and signature_ok)
+    structural = a_real and a_invertible and signature_ok
     eigen = classify_positivity(S, tol)
     report = {
         "shape": shape,
         "positive": structural,
         "conditions": {
-            "diagonal_block_real": bool(a_real),
+            "diagonal_block_real": a_real,
             "diagonal_block_invertible": a_invertible,
             "offdiagonal_signature": signature_ok,
         },
@@ -828,21 +842,11 @@ def classify_conjugation_commuting(S, tol=1e-9):
         raise NotConjugationSymmetric("matrix is not fixed by the conjugation symmetry")
     A, B, C, D = blocks(S)
 
-    a_real = bool(np.linalg.norm(A.imag) <= tol * max(1.0, np.linalg.norm(A)))
-    sv = np.linalg.svd(A, compute_uv=False)
-    a_invertible = bool(sv[-1] > tol * max(1.0, sv[0]))
+    a_real, a_invertible = _real_invertible(A, tol)
+    lower_ok = semidefinite((A.T @ C).imag, tol)
+    upper_ok = semidefinite(-(A @ B.T).imag, tol)
 
-    M1 = (A.T @ C).imag
-    M1 = (M1 + M1.T) / 2
-    w1 = np.linalg.eigvalsh(M1)
-    lower_ok = bool(w1[0] >= -tol * max(1.0, float(np.max(np.abs(w1))) if w1.size else 0.0))
-
-    M2 = (A @ B.T).imag
-    M2 = (M2 + M2.T) / 2
-    w2 = np.linalg.eigvalsh(M2)
-    upper_ok = bool(w2[-1] <= tol * max(1.0, float(np.max(np.abs(w2))) if w2.size else 0.0))
-
-    structural = bool(a_real and a_invertible and lower_ok and upper_ok)
+    structural = a_real and a_invertible and lower_ok and upper_ok
     eigen = classify_positivity(S, tol)
     report = {
         "conjugation_symmetric": True,
@@ -859,8 +863,8 @@ def classify_conjugation_commuting(S, tol=1e-9):
     }
     if structural:
         Ainv = np.linalg.inv(A.real)
-        Qc = _sym_part(C @ Ainv, "synthesized chirp parameter", tol=1e-6)
-        Pm = _sym_part(Ainv @ B, "synthesized multiplier parameter", tol=1e-6)
+        Qc = sym_part(C @ Ainv, "synthesized chirp parameter", tol=1e-6)
+        Pm = sym_part(Ainv @ B, "synthesized multiplier parameter", tol=1e-6)
         word = [chirp(Qc), rescale(Ainv), multiplier(Pm)]
         resid = float(np.linalg.norm(word_to_matrix(word) - S) / scale)
         report["word"] = word

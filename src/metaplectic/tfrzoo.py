@@ -17,7 +17,7 @@ a metaplectic operator given in split form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +26,18 @@ from .errors import (
     UnsupportedSingularBlock,
     ValidationError,
 )
-from .gausscalc import GaussianState, apply_token, wigner_gaussian
-from .gridlab import GridFn, grid_fourier, grid_fourier_inverse, grid_wigner, _chirp_values
+from .gausscalc import GaussianState, apply_token, det_pow, wigner_gaussian
+from .gridlab import grid_apply_token, grid_wigner
 from .sympcore import (
     atom_p,
     atom_r,
     chirp,
     classify_positivity,
-    fourier,
     multiplier,
     rescale,
     require_symplectic,
+    semidefinite,
+    sym_part,
     tilde,
     word_to_matrix,
 )
@@ -76,11 +77,29 @@ def _bl(A, i, j, d):
     return A[i * d:(i + 1) * d, j * d:(j + 1) * d]
 
 
-def _sym(M, tol, what):
-    M = np.asarray(M, dtype=complex)
-    if np.linalg.norm(M - M.T) > tol * max(1.0, np.linalg.norm(M)):
-        raise ValidationError(f"{what} must be symmetric")
-    return (M + M.T) / 2
+def _params(A, d):
+    """The parameter blocks ``(A11, A13, A21)`` of a representation matrix."""
+    return _bl(A, 0, 0, d), _bl(A, 0, 2, d), _bl(A, 1, 0, d)
+
+
+def _covariant_matrix(A11, A13, A21):
+    """The ``4d x 4d`` covariant block pattern of a parameter triple."""
+    d = A11.shape[0]
+    I, O = np.eye(d), np.zeros((d, d))
+    return np.block([
+        [A11, I - A11, A13, A13],
+        [A21, -A21, I - A11.T, -A11.T],
+        [O, O, I, I],
+        [-I, I, O, O],
+    ])
+
+
+def _covariant_params(spec):
+    """Parameter blocks of a covariant representation; raises otherwise."""
+    ok, clauses = is_covariant(spec)
+    if not ok:
+        raise ValidationError(f"not a covariant representation: {clauses}")
+    return _params(spec.A, spec.d)
 
 
 def build_covariant(A11, A13, A21, tol=1e-10):
@@ -91,20 +110,11 @@ def build_covariant(A11, A13, A21, tol=1e-10):
     transform is ``(I/2, -iI/2, iI/2)``.
     """
     A11 = np.atleast_2d(np.asarray(A11, dtype=complex))
-    d = A11.shape[0]
-    A13 = _sym(np.atleast_2d(A13), tol, "A13 parameter")
-    A21 = _sym(np.atleast_2d(A21), tol, "A21 parameter")
-    I, O = np.eye(d), np.zeros((d, d))
-    A = np.block([
-        [A11, I - A11, A13, A13],
-        [A21, -A21, I - A11.T, -A11.T],
-        [O, O, I, I],
-        [-I, I, O, O],
-    ])
-    spec = TFRSpec(d, A)
-    B = symbol_exponent(spec)
-    w = np.linalg.eigvalsh(B.imag)
-    if w[-1] > tol * max(1.0, float(np.max(np.abs(w)))):
+    A13 = sym_part(np.atleast_2d(np.asarray(A13, dtype=complex)), "A13 parameter", tol)
+    A21 = sym_part(np.atleast_2d(np.asarray(A21, dtype=complex)), "A21 parameter", tol)
+    A = _covariant_matrix(A11, A13, A21)
+    spec = TFRSpec(A11.shape[0], A)
+    if not semidefinite(-symbol_exponent(spec).imag, tol):
         raise ValidationError("symbol exponent needs Im B <= 0; "
                               "this parameter triple is outside the covariant cone")
     require_symplectic(A, what="covariant representation matrix")
@@ -121,26 +131,19 @@ def is_covariant(spec, tol=1e-9):
     equation failed first, the symmetry of the parameter blocks, and the
     semidefiniteness of the symbol exponent.
     """
-    A = spec.A if isinstance(spec, TFRSpec) else np.asarray(spec, dtype=complex)
-    d = A.shape[0] // 4
-    A11, A13, A21 = _bl(A, 0, 0, d), _bl(A, 0, 2, d), _bl(A, 1, 0, d)
-    I, O = np.eye(d), np.zeros((d, d))
-    pattern = np.block([
-        [A11, I - A11, A13, A13],
-        [A21, -A21, I - A11.T, -A11.T],
-        [O, O, I, I],
-        [-I, I, O, O],
-    ])
+    if not isinstance(spec, TFRSpec):
+        spec = TFRSpec(np.asarray(spec).shape[0] // 4, spec)
+    A = spec.A
+    A11, A13, A21 = _params(A, spec.d)
     scale = max(1.0, np.linalg.norm(A))
     clauses = {
-        "blocks_match_pattern": bool(np.linalg.norm(A - pattern) <= tol * scale),
+        "blocks_match_pattern": bool(
+            np.linalg.norm(A - _covariant_matrix(A11, A13, A21)) <= tol * scale),
         "a13_symmetric": bool(np.linalg.norm(A13 - A13.T) <= tol * scale),
         "a21_symmetric": bool(np.linalg.norm(A21 - A21.T) <= tol * scale),
     }
     if all(clauses.values()):
-        B = np.block([[A13, I / 2 - A11], [I / 2 - A11.T, -A21]])
-        w = np.linalg.eigvalsh((B.imag + B.imag.T) / 2)
-        clauses["symbol_signature"] = bool(w[-1] <= tol * max(1.0, float(np.max(np.abs(w)))))
+        clauses["symbol_signature"] = semidefinite(-symbol_exponent(spec).imag, tol)
         clauses["symplectic"] = bool(
             classify_positivity(A).klass != "NotSymplectic")
     else:
@@ -152,10 +155,8 @@ def is_covariant(spec, tol=1e-9):
 def symbol_exponent(spec):
     """The symmetric ``2d x 2d`` exponent ``B`` of the multiplier symbol
     ``exp(-i pi B zeta . zeta)`` relating the representation to Wigner."""
-    A = spec.A
-    d = spec.d
-    A11, A13, A21 = _bl(A, 0, 0, d), _bl(A, 0, 2, d), _bl(A, 1, 0, d)
-    I = np.eye(d)
+    A11, A13, A21 = _params(spec.A, spec.d)
+    I = np.eye(spec.d)
     B = np.block([[A13, I / 2 - A11], [I / 2 - A11.T, -A21]])
     return (B + B.T) / 2
 
@@ -171,61 +172,37 @@ def cohen_kernel(spec, tol=1e-12):
     * otherwise a pure chirp usable on grids only,
       ``{"type": "chirp", "B": B}``.
     """
-    ok, _ = is_covariant(spec)
-    if not ok:
-        raise ValidationError("kernel extraction needs a covariant representation")
+    _covariant_params(spec)
     B = symbol_exponent(spec)
     scale = max(1.0, np.linalg.norm(spec.A))
     if np.linalg.norm(B) <= tol * scale:
         return {"type": "delta"}
-    w = np.linalg.eigvalsh(B.imag)
-    if w[-1] < -1e-10 * max(1.0, float(np.max(np.abs(w)))):
+    if semidefinite(-B.imag, 1e-10, definite=True):
         Q = np.linalg.inv(B)
         Q = (Q + Q.T) / 2
-        lam = np.linalg.eigvals(1j * B)
-        c = complex(np.exp(-0.5 * np.sum(np.log(lam))))
+        c = det_pow(1j * B, -0.5)
         return {"type": "gaussian",
                 "state": GaussianState(2 * spec.d, c, Q, np.zeros(2 * spec.d))}
     return {"type": "chirp", "B": B}
 
 
-def _scale_amp(f, s):
-    if isinstance(f, list):
-        return [_scale_amp(t, s) for t in f]
-    return replace(f, c=f.c * s)
-
-
-def _classical_fourier_state(f, dim):
-    # the Fourier token carries the i^{-dim/2} normalization; undo it
-    return _scale_amp(apply_token(fourier(dim), f), np.exp(0.25j * np.pi * dim))
-
-
-def _classical_fourier_inverse_state(f, dim):
-    # classical inverse = parity then classical forward transform
-    g = apply_token(rescale(-np.eye(dim), maslov=0), f)
-    return _classical_fourier_state(g, dim)
-
-
 def tfr_gaussian(spec, f, g=None):
     """The representation applied to a Gaussian pair, in closed form.
 
-    Multiplies the classical Fourier transform of ``W(f, g)`` by the symbol
-    ``exp(-i pi B zeta.zeta)`` and transforms back; every step stays inside
-    the Gaussian class.
+    The symbol ``exp(-i pi B zeta.zeta)`` multiplies the Fourier transform
+    of ``W(f, g)``, which is the multiplier token of ``B`` on the doubled
+    phase space; every step stays inside the Gaussian class.
     """
     W = wigner_gaussian(f, g)
     B = symbol_exponent(spec)
     if np.linalg.norm(B) == 0.0:
         return W
-    dim = 2 * spec.d
-    H = _classical_fourier_state(W, dim)
-    H = apply_token(chirp(-B), H)
-    return _classical_fourier_inverse_state(H, dim)
+    return apply_token(multiplier(B), W)
 
 
 def tfr_grid(spec, f, g=None):
     """The representation applied to sampled signals (d = 1): Wigner on the
-    self-dual grid, then the multiplier symbol in the transform domain.
+    self-dual grid, then the multiplier token of the symbol exponent.
     Handles chirp-type kernels that have no Gaussian convolution form."""
     if spec.d != 1:
         raise ValidationError("grid route supports d = 1 signals")
@@ -233,9 +210,7 @@ def tfr_grid(spec, f, g=None):
     B = symbol_exponent(spec)
     if np.linalg.norm(B) == 0.0:
         return W
-    G = grid_fourier(W)
-    G = GridFn(G.spec, G.values * _chirp_values(G.spec, -B))
-    return grid_fourier_inverse(G)
+    return grid_apply_token(multiplier(B), W)
 
 
 # ----------------------------------------------------------------------------
@@ -268,12 +243,8 @@ def classify_spectrogram(spec, tol=1e-8):
         If ``A13`` is numerically singular (the representation degenerates
         to a non-spectrogram boundary case).
     """
-    ok, cov = is_covariant(spec)
-    if not ok:
-        raise ValidationError(f"not a covariant representation: {cov}")
+    A11, A13, A21 = _covariant_params(spec)
     d = spec.d
-    A = spec.A
-    A11, A13, A21 = _bl(A, 0, 0, d), _bl(A, 0, 2, d), _bl(A, 1, 0, d)
     sv = np.linalg.svd(A13, compute_uv=False)
     if sv[-1] <= 1e-12 * max(1.0, sv[0]):
         raise UnsupportedSingularBlock("window extraction needs invertible A13")
@@ -282,27 +253,17 @@ def classify_spectrogram(spec, tol=1e-8):
     scale = max(1.0, np.linalg.norm(A11), np.linalg.norm(A21), np.linalg.norm(X))
 
     consistency = np.linalg.norm(A21 + A11.T @ X @ (A11 - I)) <= tol * scale ** 2
-    M_f = (A11.T @ X).imag
-    M_f = (M_f + M_f.T) / 2
-    w_f = np.linalg.eigvalsh(M_f)
-    decay_f = bool(w_f[0] >= -tol * max(1.0, float(np.max(np.abs(w_f))) if w_f.size else 0.0))
-    M_g = (X @ (A11 - I)).imag
-    M_g = (M_g + M_g.T) / 2
-    w_g = np.linalg.eigvalsh(M_g)
-    decay_g = bool(w_g[-1] <= tol * max(1.0, float(np.max(np.abs(w_g))) if w_g.size else 0.0))
-
     clauses = {
         "window_consistency": bool(consistency),
-        "window_decay_f": decay_f,
-        "window_decay_g": decay_g,
+        "window_decay_f": semidefinite((A11.T @ X).imag, tol),
+        "window_decay_g": semidefinite(-(X @ (A11 - I)).imag, tol),
     }
     report = {"spectrogram": all(clauses.values()), "clauses": clauses,
               "window_f": None, "window_g": None}
     if not report["spectrogram"]:
         return report
 
-    lam = np.linalg.eigvals(1j * A13)
-    kappa = complex(np.exp(-0.5 * np.sum(np.log(lam))))
+    kappa = det_pow(1j * A13, -0.5)
     u = _principal_sqrt(kappa / abs(kappa))
     c1 = np.conj(_principal_sqrt(kappa)) * u
     c2 = _principal_sqrt(kappa) * u
@@ -313,9 +274,8 @@ def classify_spectrogram(spec, tol=1e-8):
     q_g = (q_g + q_g.T) / 2
 
     def window(c, q):
-        wq = np.linalg.eigvalsh((-q).imag)
-        degenerate = wq[0] <= 1e-12 * max(1.0, float(np.max(np.abs(wq))) if wq.size else 0.0)
-        return GaussianState(d, c, -q, np.zeros(d), allow_degenerate=bool(degenerate))
+        degenerate = not semidefinite(-q.imag, 1e-12, definite=True)
+        return GaussianState(d, c, -q, np.zeros(d), allow_degenerate=degenerate)
 
     report["window_f"] = window(c1, q_f)
     report["window_g"] = window(c2, q_g)
@@ -332,18 +292,14 @@ def classify_pure_spectrogram(spec, tol=1e-8):
     ``A21 = A13^{-1}/4 + Im(A11)^T A13^{-1} Im(A11)``.  The window amplitude
     is then ``det(i A13)^{-1/4} > 0``.
     """
-    ok, cov = is_covariant(spec)
-    if not ok:
-        raise ValidationError(f"not a covariant representation: {cov}")
+    A11, A13, A21 = _covariant_params(spec)
     d = spec.d
-    A = spec.A
-    A11, A13, A21 = _bl(A, 0, 0, d), _bl(A, 0, 2, d), _bl(A, 1, 0, d)
     I = np.eye(d)
     scale = max(1.0, np.linalg.norm(A11), np.linalg.norm(A13), np.linalg.norm(A21))
 
     re_half = np.linalg.norm(A11.real - I / 2) <= tol * scale
-    wIm = np.linalg.eigvalsh(A13.imag)
-    a13_imag = (np.linalg.norm(A13.real) <= tol * scale) and bool(wIm[-1] < 0)
+    a13_imag = (np.linalg.norm(A13.real) <= tol * scale) \
+        and semidefinite(-A13.imag, 0.0, definite=True)
     clauses = {"re_a11_half": bool(re_half), "a13_imaginary": bool(a13_imag)}
     if a13_imag:
         X = np.linalg.inv(A13)
@@ -357,9 +313,7 @@ def classify_pure_spectrogram(spec, tol=1e-8):
     if not report["pure"]:
         return report
 
-    X = np.linalg.inv(A13)
-    lam = np.linalg.eigvals(1j * A13)
-    kappa = complex(np.exp(-0.5 * np.sum(np.log(lam))))
+    kappa = det_pow(1j * A13, -0.5)
     if abs(kappa.imag) > 1e-10 * abs(kappa) or kappa.real <= 0:
         raise ModelError("pure spectrogram amplitude must be positive")
     q = X @ (A11 - I)

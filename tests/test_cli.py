@@ -1,5 +1,9 @@
 """Command-line interface: commands, formats, and exit-code contract."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,24 @@ def test_classify_non_triangular_exits_1(runner, files):
     r = runner.invoke(main, ["classify", "--matrix", files["matrix.json"],
                              "--mode", "triangular"])
     assert r.exit_code == 1
+
+
+def test_nan_matrix_exits_2(runner, files, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"d":1,"rows":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}')
+    r = runner.invoke(main, ["gaussian", "apply", "--matrix", str(path),
+                             "--state", files["state.json"]])
+    assert r.exit_code == 2
+
+
+def test_overflowing_matrix_is_not_symplectic(runner, tmp_path):
+    # det = 1e308 while S^T J S overflows: nothing certifies the identity
+    path = tmp_path / "huge.json"
+    path.write_text(F.dumps_json(F.dump_matrix(np.array([[1e308, 1e308], [0.0, 1.0]]), 1)))
+    r = runner.invoke(main, ["classify", "--matrix", str(path)])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["class"] == "NotSymplectic"
+    assert runner.invoke(main, ["polar", "--matrix", str(path)]).exit_code == 1
 
 
 def test_polar(runner, files):
@@ -203,6 +225,16 @@ def test_evolve_example_json(runner):
     assert abs(rows[0]["bound_u"] - 2.0) < 1e-8
 
 
+def test_evolve_hermite_defaults_record_nan_cells(runner):
+    # the polar factor stops being symplectic to working precision as cond Z
+    # grows; those cells become NaN while the exact L^2 column stays finite
+    r = runner.invoke(main, ["evolve", "--example", "hermite", "--format", "json"])
+    assert r.exit_code == 0
+    rows = json.loads(r.output)
+    assert len(rows) == 20
+    assert all(np.isfinite(row["l2_ratio"]) for row in rows)
+
+
 def test_evolve_hamiltonian_file(runner, files):
     r = runner.invoke(main, ["evolve", "--hamiltonian", files["ham.json"],
                              "--t-max", "0.2", "--t-steps", "2", "--grid-n", "64"])
@@ -229,3 +261,14 @@ def test_version(runner):
     r = runner.invoke(main, ["--version"])
     assert r.exit_code == 0
     assert "0.1.0" in r.output
+
+
+def test_module_entry_point_runs_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "metaplectic.cli", "classify",
+                           "--matrix", str(tmp_path / "missing.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "cannot read matrix" in proc.stderr

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from metaplectic.errors import UnsupportedShape, ValidationError
+from metaplectic.errors import (DecompositionError, UnsupportedShape,
+                                ValidationError)
 from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian,
                                  c_weight, combined_bound, cone_profile,
                                  evolve_trajectory, hamilton_map,
@@ -165,6 +166,14 @@ def test_hermite_decay_rate():
         slope = np.polyfit(ts, logs, 1)[0]
         want = -d * (2 * np.pi * alpha) / 2
         assert abs(slope - want) < 0.05 * abs(want)
+
+
+def test_polar_rejects_non_symplectic_real_factor():
+    # at t = 0.7 cond Z is about 7e3 and U misses the group by more than the
+    # tolerance that the symplectic SVD enforces
+    S = propagator_matrix(hermite_hamiltonian(1.0, 1.0, 1), 0.7)
+    with pytest.raises(DecompositionError):
+        matrix_polar(S)
 
 
 def test_evolve_trajectory_heat_rows():

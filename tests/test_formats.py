@@ -35,6 +35,13 @@ def test_complex_round_trip():
     assert F.load_complex(F.dump_complex(z)) == z
 
 
+@pytest.mark.parametrize("text", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 1]",
+                                  "[1e400, 0]", "[1" + "0" * 400 + ", 0]"])
+def test_complex_load_rejects_non_finite(text):
+    with pytest.raises(FormatError):
+        F.load_complex(json.loads(text))
+
+
 def test_matrix_round_trip():
     M = np.array([[0.2 + 0.8j, -1.0], [0.5, 0.3 - 0.1j]])
     d, M2 = F.load_matrix(F.dump_matrix(M, 2))

@@ -9,8 +9,9 @@ from metaplectic.gausscalc import (GaussianState, apply_matrix, apply_token,
                                    complex_shift, conjugate_state, eval_state,
                                    gaussian_integral, inner_product, norm,
                                    shift, standard_gaussian, wigner_gaussian)
-from metaplectic.sympcore import (atom_r, chirp, fourier, random_word, rescale,
-                                  tilde_word, word_to_matrix)
+from metaplectic.sympcore import (atom_r, chirp, fourier, multiplier,
+                                  random_word, rescale, tilde_word,
+                                  word_to_matrix)
 
 from conftest import random_state, rel_values
 
@@ -203,3 +204,51 @@ def test_intertwining_on_sums(rng):
         z = rng.normal(size=2 * d)
         tau = rng.normal()
         assert check_intertwining(word, z, tau, f) < 1e-10
+
+
+def test_apply_matrix_is_linear_on_sums():
+    # the matrix route realizes one operator: on a Gaussian sum it differs
+    # from the word route by a single constant shared by all terms
+    rng = np.random.default_rng(7)
+    x = np.linspace(-1.2, 1.2, 9)[:, None]
+    for _ in range(300):
+        word = random_word(rng, 1, max_len=6)
+        f = [random_state(rng, 1) for _ in range(3)]
+        v1 = eval_state(apply_word(word, f), x)
+        v2 = eval_state(apply_matrix(word_to_matrix(word), f), x)
+        k = int(np.argmax(np.abs(v2)))
+        s = v1[k] / v2[k]
+        assert abs(abs(s) - 1.0) < 1e-9
+        assert rel_values(v1, s * v2) < 1e-9
+
+
+def _real_frame_word(rng, d):
+    # Fourier, real chirps and multipliers, and rescales of either sign:
+    # every token is unitary
+    word = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(4))
+        G = rng.normal(size=(d, d))
+        if kind == 0:
+            word.append(fourier(d))
+        elif kind == 1:
+            word.append(chirp((G + G.T) / 2))
+        elif kind == 2:
+            word.append(multiplier((G + G.T) / 2))
+        else:
+            sign = 1.0 if rng.integers(2) else -1.0
+            word.append(rescale(sign * (np.eye(d) + 0.3 * G)))
+    return word
+
+
+def test_apply_matrix_real_frame_preserves_pairing():
+    # a real matrix acts unitarily, so <V f, V g> = <f, g> with no sign
+    # realignment between the two applications
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(rng.integers(1, 3))
+        V = word_to_matrix(_real_frame_word(rng, d)).real
+        f, g = random_state(rng, d), random_state(rng, d)
+        want = inner_product(f, g)
+        got = inner_product(apply_matrix(V, f), apply_matrix(V, g))
+        assert abs(got - want) <= 1e-12 * abs(want)

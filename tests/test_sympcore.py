@@ -38,6 +38,11 @@ def test_blocks_round_trip(rng):
     assert np.array_equal(from_blocks(A, B, C, D), S)
 
 
+def test_is_symplectic_rejects_overflow():
+    # det = 1e308, but S^T J S and ||S||^2 overflow
+    assert not is_symplectic(np.array([[1e308, 1e308], [0.0, 1.0]]))
+
+
 def test_require_symplectic_rejects():
     with pytest.raises(ValidationError):
         require_symplectic(2.0 * np.eye(2))
