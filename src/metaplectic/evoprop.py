@@ -121,7 +121,11 @@ def weyl_symbol_Z(Z, tol=1e-9):
     Gaussian state with ``Q = i V^T Sigma V`` (degenerate directions
     allowed: the symbol need not decay along them).
     """
-    V, theta, delta = atomic_decompose(Z, tol)
+    return _weyl_symbol(*atomic_decompose(Z, tol))
+
+
+def _weyl_symbol(V, theta, delta):
+    """:func:`weyl_symbol_Z` from the normal form ``(V, theta, delta)``."""
     d = theta.size
     Sig = np.diag(_sigma_slots(theta, delta))
     Q = 1j * V.T @ Sig @ V
@@ -139,9 +143,8 @@ def weyl_pairing(Z, f, g, tol=1e-9):
     one operator for the frame, so its sign cancels between the two slots.
     Returns ``(lhs, rhs)``.
     """
-    a = weyl_symbol_Z(Z, tol)
-    lhs = inner_product(a, wigner_gaussian(g, f))
     V, theta, delta = atomic_decompose(Z, tol)
+    lhs = inner_product(_weyl_symbol(V, theta, delta), wigner_gaussian(g, f))
     fV = apply_matrix(V, f)
     rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), apply_matrix(V, g))
     return lhs, rhs

@@ -13,8 +13,9 @@ Tokens act on samples:
 * chirps multiply pointwise;
 * the Fourier token is an exact centered DFT (the fftshift sandwich
   evaluates ``sum_k f_k exp(-2 pi i x_k xi_m)`` with no phase residue);
-* rescales remap indices when the factor is an integer and otherwise
-  evaluate the band-limited interpolant through a chirp-z transform;
+* a rescale by ``sigma`` is a change of units: the output keeps the
+  samples (scaled, and parity-flipped when ``sigma < 0``) on the spacing
+  ``h/|sigma|``, so after a rescale a grid is generally not self-dual;
 * the remaining generators reduce to these.
 """
 
@@ -58,8 +59,8 @@ class GridSpec:
             raise ValidationError("grids support d = 1 or 2")
         if self.n < 4 or self.n % 2:
             raise ValidationError("grid size must be even and >= 4")
-        if not (self.h > 0):
-            raise ValidationError("grid spacing must be positive")
+        if not (0 < self.h < np.inf):
+            raise ValidationError("grid spacing must be finite and positive")
 
     def axis(self):
         return (np.arange(self.n) - self.n // 2) * self.h
@@ -168,61 +169,12 @@ def _chirp_values(spec, Q):
     return np.exp(1j * np.pi * quad)
 
 
-def _resample_exact(F, sigma, n):
-    """``(1/n) sum_m F_m exp(2 pi i sigma (k-n/2)(m-n/2)/n)`` along the last
-    axis; a direct O(n^2) sweep whose roundoff floor sits near eps.
-
-    The naive phase ``sigma p / n`` with ``p = (k-n/2)(m-n/2)`` loses
-    ``~|sigma p / n| eps`` absolute accuracy, which the sums amplify past
-    the convergence floor.  Instead ``p = q n + t`` splits off the large
-    integer part and the phase factors through two small tables: a 26-bit
-    head/tail split of ``sigma`` makes ``head * q`` an exact double, so its
-    residue mod 1 — hence the ``q`` table — is exact, and the ``t`` table
-    has small arguments throughout.
-    """
-    m = (np.arange(n) - n // 2).astype(np.int64)
-    qmax = n // 4 + 1
-    qs = np.arange(-qmax, qmax + 1, dtype=float)
-    head = np.round(sigma * 2.0 ** 26) / 2.0 ** 26
-    tail = sigma - head
-    table_q = np.exp(2j * np.pi * ((head * qs) % 1.0 + tail * qs))
-    table_t = np.exp((2j * np.pi * sigma / n) * np.arange(n))
-    out = np.empty(F.shape, dtype=complex)
-    chunk = max(1, (1 << 22) // n)
-    for k0 in range(0, n, chunk):
-        kk = m[k0:k0 + chunk]
-        q, t = np.divmod(kk[:, None] * m[None, :], n)
-        ph = table_q[q + qmax] * table_t[t]
-        out[..., k0:k0 + chunk] = F @ ph.T
-    return out / n
-
-
-def _rescale_axis(vals, spec, sigma, axis):
-    """Samples of ``f(sigma x)`` along one axis (exact integer remap, or
-    band-limited trigonometric resampling for non-integer factors)."""
-    n = spec.n
-    if abs(sigma) < 1e-12:
-        raise UnsupportedRescale("rescale factor must be nonzero")
-    if abs(sigma) * n > 2.0 ** 29:
-        raise UnsupportedRescale("rescale factor too large for this grid")
-    if abs(sigma - round(sigma)) < 1e-12:
-        s = int(round(sigma))
-        k = np.arange(n)
-        j = s * (k - n // 2) + n // 2
-        ok = (0 <= j) & (j < n)
-        idx_src = np.clip(j, 0, n - 1)
-        out_slices = np.take(vals, idx_src, axis=axis)
-        mask_shape = [1] * vals.ndim
-        mask_shape[axis] = n
-        return out_slices * ok.reshape(mask_shape)
-    F = np.moveaxis(_cdft(vals, axis), axis, -1)
-    out = _resample_exact(F, sigma, n)
-    return np.moveaxis(out, -1, axis)
-
-
 def _apply_rescale(f, E, maslov):
+    """``i^maslov |det E|^{1/2} f(E x)`` as a change of units: the samples of
+    ``f`` at spacing ``h`` are the samples of ``f(sigma x)`` at spacing
+    ``h/|sigma|``, so the values are only scaled and, for ``sigma < 0``,
+    parity-flipped (index ``k`` reads ``n - k``; index 0 reads zero)."""
     spec = f.spec
-    E = np.asarray(E, dtype=float)
     v = f.values
     if spec.d == 1:
         factors = [E[0, 0]]
@@ -233,14 +185,21 @@ def _apply_rescale(f, E, maslov):
         elif abs(E[0, 0]) + abs(E[1, 1]) <= 1e-12 * scale:
             # f(E x) with antidiagonal E factors through an axis swap followed by
             # the diagonal rescale diag(E[1,0], E[0,1])
-            v = v.T.copy()
+            v = v.T
             factors = [E[1, 0], E[0, 1]]
         else:
             raise UnsupportedRescale("2-d grids support diagonal or antidiagonal rescales only")
+        if abs(abs(factors[0]) - abs(factors[1])) > 1e-12 * abs(factors[0]):
+            raise UnsupportedRescale("2-d grids carry one spacing: both rescale "
+                                     "factors need the same magnitude")
+    parity = (-np.arange(spec.n)) % spec.n
     for axis, sigma in enumerate(factors):
-        v = _rescale_axis(v, spec, sigma, axis)
+        if sigma < 0:
+            v = np.take(v, parity, axis=axis)
+            np.moveaxis(v, axis, 0)[0] = 0
     root = np.sqrt(abs(np.prod(factors)))
-    return GridFn(spec, (1j) ** (maslov % 4) * root * v)
+    out = GridSpec(spec.d, spec.n, float(spec.h / abs(factors[0])))
+    return GridFn(out, (1j) ** (maslov % 4) * root * v)
 
 
 def grid_apply_token(t, f):

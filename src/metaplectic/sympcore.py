@@ -123,10 +123,11 @@ def is_symplectic(S, tol=1e-10):
     if S.ndim != 2 or S.shape[1] != n or n % 2:
         return False
     J = omega(n // 2)
-    defect = np.linalg.norm(S.T @ J @ S - J)
-    scale = np.linalg.norm(S) ** 2
     # an overflowing entry makes the defect or the scale inf or nan, and
     # nothing then certifies the identity
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(S.T @ J @ S - J)
+        scale = np.linalg.norm(S) ** 2
     return bool(np.isfinite(defect) and np.isfinite(scale)
                 and defect <= tol * max(1.0, scale))
 

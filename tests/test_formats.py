@@ -135,6 +135,8 @@ def test_mpgf_rejects_corruption():
         F.read_mpgf(buf[:-8])
     with pytest.raises(FormatError):
         F.read_mpgf(buf[:10])
+    with pytest.raises(FormatError):
+        F.read_mpgf(buf[:10] + struct.pack("<d", np.inf) + buf[18:])
 
 
 def test_grid_csv_layout():

@@ -27,6 +27,8 @@ def test_gridspec_validation():
         GridSpec(1, 63, 0.1)
     with pytest.raises(ValidationError):
         GridSpec(1, 64, 0.0)
+    with pytest.raises(ValidationError):
+        GridSpec(1, 64, np.inf)
 
 
 def test_gridspec_dual_round_trip():
@@ -73,47 +75,50 @@ def test_grid_convergence_under_refinement(rng):
     assert errs[1] <= max(errs[0] / 4, 1e-10)
 
 
-def test_integer_rescale_is_exact_remap():
+def test_rescale_is_exact_relabel():
     spec = GridSpec(1, 64, 0.1)
-    vals = np.arange(64, dtype=complex)
-    out = grid_apply_token(rescale(np.array([[2.0]])), GridFn(spec, vals))
-    # f(2x) at index k reads index 2(k - n/2) + n/2, out of range giving zero
-    k = np.arange(64)
-    j = 2 * (k - 32) + 32
-    want = np.where((0 <= j) & (j < 64), vals[np.clip(j, 0, 63)], 0)
-    assert np.allclose(out.values, np.sqrt(2.0) * want)
+    vals = np.arange(64, dtype=complex) + 1j
+    for sigma in (2.0, 0.75, -1.5):
+        out = grid_apply_token(rescale(np.array([[sigma]])), GridFn(spec, vals))
+        # the samples of f at spacing h are those of f(sigma x) at h/|sigma|;
+        # sigma < 0 flips the parity: index k reads n - k, index 0 reads zero
+        assert out.spec == GridSpec(1, 64, 0.1 / abs(sigma)), sigma
+        want = vals if sigma > 0 else np.r_[0, vals[:0:-1]]
+        assert np.array_equal(out.values, np.sqrt(abs(sigma)) * want), sigma
 
 
 def test_fractional_rescale_matches_closed_form(rng):
     f = random_state(rng, 1)
-    for sigma in (0.6, 1.0 / 3.0, np.sqrt(2)):
+    for sigma in (0.6, 1.0 / 3.0, np.sqrt(2), -0.6, 2.0, -3.0):
         tok = rescale(np.array([[sigma]]))
         out = grid_apply_token(tok, sample(f, SD512))
         assert rel_l2(out, apply_word([tok], f)) < 1e-9, sigma
 
 
 def test_rescale_guards():
-    f = GridFn(SD512, np.zeros(512))
-    with pytest.raises(UnsupportedRescale):
-        grid_apply_token(rescale(np.array([[2.0 ** 25]])), f)
     spec2 = GridSpec(2, 16, 0.2)
     f2 = GridFn(spec2, np.zeros((16, 16)))
     with pytest.raises(UnsupportedRescale):
         grid_apply_token(rescale(np.array([[1.0, 0.3], [0.0, 1.0]])), f2)
+    # one spacing per grid: both factors need the same magnitude
+    with pytest.raises(UnsupportedRescale):
+        grid_apply_token(rescale(np.diag([1.0, 2.0])), f2)
+    with pytest.raises(UnsupportedRescale):
+        grid_apply_token(atom_r([0.2, 0.5]), f2)
 
 
 def test_antidiagonal_rescale_2d():
     spec = GridSpec(2, 32, 0.15)
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-    E = np.array([[0.0, 1.0], [2.0, 0.0]])
+    E = np.array([[0.0, 1.5], [-1.5, 0.0]])
     out = grid_apply_token(rescale(E), GridFn(spec, vals))
-    # f(E x) with E antidiagonal: (x1, x2) -> f(x2, 2 x1)
-    k = np.arange(32)
-    j = 2 * (k - 16) + 16
-    ok = (0 <= j) & (j < 32)
-    want = vals.T[np.clip(j, 0, 31), :] * ok[:, None]
-    assert np.allclose(out.values, np.sqrt(2.0) * want)
+    # f(E x) with E antidiagonal: (x1, x2) -> f(1.5 x2, -1.5 x1), a transpose
+    # followed by a parity flip of the first axis, on spacing h / 1.5
+    assert out.spec == GridSpec(2, 32, 0.15 / 1.5)
+    want = np.zeros_like(vals)
+    want[1:] = vals.T[:0:-1]
+    assert np.allclose(out.values, 1.5 * want)
 
 
 def test_multiplier_on_grid_matches_closed_form(rng):
