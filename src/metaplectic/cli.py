@@ -68,7 +68,7 @@ def _guarded(fn):
         except ValidationError as e:
             click.echo(f"validation error: {e}", err=True)
             sys.exit(1)
-        except NumericalError as e:
+        except (NumericalError, np.linalg.LinAlgError) as e:
             click.echo(f"numerical error: {e}", err=True)
             sys.exit(3)
     return wrapper

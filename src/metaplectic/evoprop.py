@@ -12,13 +12,10 @@ weighted cone-localization functional used by the ``evolve`` driver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.integrate import quad
-from scipy.ndimage import map_coordinates
-from scipy.special import gamma
 
 from .errors import NumericalError, UnsupportedShape, ValidationError
 from .gausscalc import (
@@ -93,7 +90,9 @@ def hamilton_map(H):
 def propagator_matrix(H, t):
     """Flow matrix ``S_t = exp(-2 i t F)``; complex symplectic, and positive
     for ``t >= 0``."""
-    S = sla.expm(-2j * t * hamilton_map(H))
+    from scipy.linalg import expm
+
+    S = expm(-2j * t * hamilton_map(H))
     return require_symplectic(S, what="propagator matrix")
 
 
@@ -157,9 +156,13 @@ def weyl_pairing(Z, f, g, tol=1e-9):
 def c_weight(s, d=1):
     """Weight constant ``(2 pi^d / Gamma(d)) int_0^inf e^{-pi r^2}
     (1+r^2)^{s/2} r^{2d-1} dr`` (equals 1 at ``s = 0`` in every dimension)."""
+    if s == 0:
+        return 1.0
+    from scipy.integrate import quad
+
     val, _err = quad(lambda r: np.exp(-np.pi * r * r) * (1 + r * r) ** (s / 2)
                      * r ** (2 * d - 1), 0, np.inf)
-    return 2 * np.pi ** d / gamma(d) * val
+    return 2 * np.pi ** d / math.gamma(d) * val
 
 
 def mod_norm_bound_U(U, p=2.0, q=None, s=0.0):
@@ -351,6 +354,8 @@ def cone_profile(W, z0, aperture, s=0.0):
     if not aperture > 0:
         raise ValidationError("cone aperture must be positive")
     th0 = float(np.arctan2(z0[1], z0[0]))
+
+    from scipy.ndimage import map_coordinates
 
     N = 8 * n
     F = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(W.values)))

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DecompositionError,
@@ -162,7 +161,8 @@ def semidefinite(H, tol, definite=False):
 def _real_invertible(M, tol):
     """``(real, invertible)`` verdicts for a square block, each with a
     relative margin ``tol``; a real block gets the cheaper real SVD."""
-    real = bool(np.linalg.norm(M.imag) <= tol * max(1.0, np.linalg.norm(M)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = bool(np.linalg.norm(M.imag) <= tol * max(1.0, np.linalg.norm(M)))
     sv = np.linalg.svd(M.real if real else M, compute_uv=False)
     return real, bool(sv[-1] > tol * max(1.0, sv[0]))
 
@@ -335,8 +335,10 @@ def tensor_interleave(S1, S2):
     with each quadrant the block diagonal of the corresponding quadrants, so
     that the symplectic form on the joint phase space is again standard.
     """
+    from scipy.linalg import block_diag
+
     pairs = zip(blocks(np.asarray(S1, dtype=complex)), blocks(np.asarray(S2, dtype=complex)))
-    return from_blocks(*(sla.block_diag(X, Y) for X, Y in pairs))
+    return from_blocks(*(block_diag(X, Y) for X, Y in pairs))
 
 
 # ----------------------------------------------------------------------------
@@ -558,6 +560,8 @@ def matrix_polar(S, tol=1e-9):
         If the spectrum touches the branch cut or ``U`` fails to be real
         symplectic.
     """
+    from scipy.linalg import sqrtm
+
     S = np.asarray(S, dtype=complex)
     rep = classify_positivity(S)
     if rep.klass == "NotSymplectic":
@@ -568,7 +572,7 @@ def matrix_polar(S, tol=1e-9):
     lam = np.linalg.eigvals(G)
     if np.any((lam.real <= 0) & (np.abs(lam.imag) <= 1e-12 * np.abs(lam))):
         raise DecompositionError("spectrum meets the negative real axis; principal root undefined")
-    Z = sla.sqrtm(G)
+    Z = sqrtm(G)
     U = S @ np.linalg.inv(Z)
     normU = max(1.0, np.linalg.norm(U))
     if np.linalg.norm(U.imag) > max(tol, 1e-8) * normU:
@@ -593,6 +597,8 @@ def _williamson(P, tol=1e-9):
     by a real Schur form; the same orthogonal matrix then block-diagonalizes
     both half powers of ``P``, and a diagonal rescaling symplectifies it.
     """
+    from scipy.linalg import schur
+
     P = sym_part(np.asarray(P, dtype=float), "normal form input")
     n = P.shape[0]
     d = n // 2
@@ -605,7 +611,7 @@ def _williamson(P, tol=1e-9):
 
     K = Pinvroot @ J @ Pinvroot
     K = (K - K.T) / 2
-    T, Zs = sla.schur(K, output="real")
+    T, Zs = schur(K, output="real")
     # rotate each 2x2 block [[0, t], [-t, 0]] to have t > 0 by swapping the
     # corresponding column pair
     for j in range(0, n, 2):
@@ -654,13 +660,15 @@ def atomic_decompose(Z, tol=1e-9):
     -------
     (V, theta, delta)
     """
+    from scipy.linalg import logm
+
     Z = np.asarray(Z, dtype=complex)
     Z = require_symplectic(Z, what="exponential factor")
     n = Z.shape[0]
     d = n // 2
     J = omega(d)
 
-    L = sla.logm(Z)
+    L = logm(Z)
     M = 1j * L
     if np.linalg.norm(M.imag) > max(1e3 * tol, 1e-8) * max(1.0, np.linalg.norm(M)):
         raise DecompositionError("generator of the exponential factor is not real")

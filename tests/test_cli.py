@@ -109,6 +109,17 @@ def test_overflowing_matrix_is_not_symplectic(runner, tmp_path):
     assert runner.invoke(main, ["polar", "--matrix", str(path)]).exit_code == 1
 
 
+def test_stray_linalg_error_exits_3(runner, files, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("metaplectic.sympcore.classify_positivity", singular)
+    r = runner.invoke(main, ["classify", "--matrix", files["matrix.json"]])
+    assert r.exit_code == 3
+    assert r.stderr == "numerical error: Singular matrix\n"
+    assert isinstance(r.exception, SystemExit)
+
+
 def test_polar(runner, files):
     r = runner.invoke(main, ["polar", "--matrix", files["matrix.json"]])
     assert r.exit_code == 0

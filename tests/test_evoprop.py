@@ -106,6 +106,7 @@ def test_weyl_pairing_identity(rng):
 
 def test_weight_constant_reference_values():
     assert abs(c_weight(0.0) - 1.0) < 1e-12
+    assert all(c_weight(0.0, d) == 1.0 for d in (1, 2, 3))
     assert abs(c_weight(1.0) - 1.1410295880878413) < 1e-12
     assert abs(c_weight(2.0) - (1 + 1 / np.pi)) < 1e-12
 

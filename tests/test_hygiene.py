@@ -1,5 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the commands that need no scipy do not load it."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,25 @@ def test_checker_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_classify_loads_no_scipy(tmp_path):
+    # scipy is imported inside the functions that call it; a cold classify
+    # pays nothing for it
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"d": 1, "rows": [[[0, 0], [1, 0]], [[-1, 0], [0.5, 0]]]}')
+    out = tmp_path / "report.json"
+    script = (
+        "import sys\n"
+        "import metaplectic\n"
+        "from metaplectic.cli import main\n"
+        f"main(['classify', '--matrix', {str(matrix)!r}, '--out', {str(out)!r}],"
+        " standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["class"] == "Real"
+    assert proc.stdout.strip() == "[]"

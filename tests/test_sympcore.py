@@ -123,6 +123,12 @@ def test_rescale_requires_invertible():
         rescale(np.zeros((1, 1)))
 
 
+def test_rescale_of_huge_factor_is_quiet():
+    # the Frobenius norm of a 1e300 block overflows; the verdict needs no warning
+    tok = rescale(np.array([[1e300]]))
+    assert tok.mat == ((1e300,),)
+
+
 def test_atoms_require_nonnegative():
     with pytest.raises(ValidationError):
         atom_r([-0.1])
