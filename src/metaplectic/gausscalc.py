@@ -194,16 +194,9 @@ def complex_shift(f, zx, zw, tau=0.0):
 # ----------------------------------------------------------------------------
 
 def _apply_fourier(f):
-    d = f.d
-    lam = np.linalg.eigvals(f.Q)
-    if np.min(np.abs(lam)) < 1e-13 * max(1.0, np.max(np.abs(lam))):
-        raise UnsupportedDegenerate("Fourier transform of a flat Gaussian leaves the class")
-    Qi = np.linalg.inv(f.Q)
-    Qp = -(Qi + Qi.T) / 2
-    bp = Qi @ f.b
-    c = f.c * np.exp(-0.25j * np.pi * d) * det_pow(-1j * f.Q, -0.5) \
-        * np.exp(-1j * np.pi * (Qi @ f.b) @ f.b)
-    return GaussianState(d, c, Qp, bp, f.allow_degenerate)
+    """The Fourier token: the classical transform in every variable times
+    the metaplectic phase ``exp(-i pi d / 4)``."""
+    return _partial_fourier_second(f, 0, phase=np.exp(-0.25j * np.pi * f.d))
 
 
 def apply_token(t, f):
@@ -312,26 +305,27 @@ def norm(f):
 # Wigner distribution
 # ----------------------------------------------------------------------------
 
-def _partial_fourier_second(f, d1):
+def _partial_fourier_second(f, d1, phase=1.0):
     """Classical Fourier transform in the last ``d - d1`` variables of a
-    2d-block Gaussian state (no metaplectic phase)."""
-    d = f.d
-    d2 = d - d1
+    Gaussian state (``d1 = 0`` transforms all), times ``phase``."""
     Q11, Q12 = f.Q[:d1, :d1], f.Q[:d1, d1:]
     Q22 = f.Q[d1:, d1:]
     b1, b2 = f.b[:d1], f.b[d1:]
     lam = np.linalg.eigvals(Q22)
     if np.min(np.abs(lam)) < 1e-13 * max(1.0, float(np.max(np.abs(lam)))):
-        raise UnsupportedDegenerate("partial transform of a flat Gaussian leaves the class")
+        raise UnsupportedDegenerate("Fourier transform of a flat Gaussian leaves the class")
     S22 = np.linalg.inv(Q22)
     S22 = (S22 + S22.T) / 2
-    Qp = np.block([
-        [Q11 - Q12 @ S22 @ Q12.T, Q12 @ S22],
-        [(Q12 @ S22).T, -S22],
-    ])
-    bp = np.r_[b1 - Q12 @ (S22 @ b2), S22 @ b2]
-    c = f.c * det_pow(-1j * Q22, -0.5) * np.exp(-1j * np.pi * (S22 @ b2) @ b2)
-    return GaussianState(d, c, Qp, bp, f.allow_degenerate)
+    T = Q12 @ S22
+    u = S22 @ b2
+    Qp = np.empty_like(f.Q)
+    Qp[:d1, :d1] = Q11 - T @ Q12.T
+    Qp[:d1, d1:] = T
+    Qp[d1:, :d1] = T.T
+    Qp[d1:, d1:] = -S22
+    bp = np.concatenate([b1 - Q12 @ u, u])
+    c = phase * f.c * det_pow(-1j * Q22, -0.5) * np.exp(-1j * np.pi * u @ b2)
+    return GaussianState(f.d, c, Qp, bp, f.allow_degenerate)
 
 
 def wigner_gaussian(f, g=None):

@@ -160,9 +160,15 @@ def semidefinite(H, tol, definite=False):
 
 def _real_invertible(M, tol):
     """``(real, invertible)`` verdicts for a square block, each with a
-    relative margin ``tol``; a real block gets the cheaper real SVD."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        real = bool(np.linalg.norm(M.imag) <= tol * max(1.0, np.linalg.norm(M)))
+    relative margin ``tol``; a real block gets the cheaper real SVD.
+
+    The realness norms are taken of ``M`` scaled to parts of size at most
+    one, where they cannot both overflow to inf and pass a complex block;
+    the verdict is the one for ``M`` itself."""
+    top = max(1.0, np.abs(M.real).max(), np.abs(M.imag).max())
+    with np.errstate(invalid="ignore"):  # an inf entry scales to nan: not real
+        Mn = M / top
+    real = bool(np.linalg.norm(Mn.imag) <= tol * max(1.0, np.linalg.norm(Mn)))
     sv = np.linalg.svd(M.real if real else M, compute_uv=False)
     return real, bool(sv[-1] > tol * max(1.0, sv[0]))
 
@@ -538,7 +544,8 @@ def factor_R_theta(theta):
 
 @dataclass
 class PolarDecomposition:
-    """``S = U @ Z`` with ``U`` real symplectic and ``Z = sqrt(sharp(S) S)``."""
+    """``S = U @ Z`` with ``U`` real symplectic and ``Z = sharp(U) @ S`` of
+    exponential type (``sharp(Z) = Z``, spectrum in the right half plane)."""
 
     U: np.ndarray
     Z: np.ndarray
@@ -548,40 +555,47 @@ class PolarDecomposition:
 def matrix_polar(S, tol=1e-9):
     """Polar factorization of a positive symplectic matrix.
 
-    ``Z`` is the principal square root of ``sharp(S) @ S`` (whose spectrum,
-    for positive ``S``, lies in the open right half plane, so the principal
-    branch is unambiguous) and ``U = S Z^{-1}`` is real symplectic.
+    ``sharp`` is the adjoint for the form ``x^* J y``, so ``S = U Z`` is the
+    generalized polar decomposition of Higham, Mackey, Mackey and Tisseur
+    (SIMAX 2005, 2006): ``U`` is the limit of the Newton iteration
+    ``X <- (X + sharp(X)^{-1}) / 2`` started from ``S``, and
+    ``Z = sharp(U) S = U^{-1} S``.  The iteration exists when the spectrum
+    of ``sharp(S) @ S`` (which is ``Z^2``) avoids the closed negative real
+    axis, and it never forms that product, so ``cond Z`` is not squared.
 
     Raises
     ------
     ValidationError
         If ``S`` is not symplectic or not positive.
     DecompositionError
-        If the spectrum touches the branch cut or ``U`` fails to be real
-        symplectic.
+        If the spectrum touches the branch cut, the iteration stalls, or
+        ``U`` fails to be real symplectic.
     """
-    from scipy.linalg import sqrtm
-
     S = np.asarray(S, dtype=complex)
     rep = classify_positivity(S)
     if rep.klass == "NotSymplectic":
         raise ValidationError("polar factorization input must be symplectic")
     if not rep.positive:
         raise ValidationError(f"polar factorization needs a positive matrix, got {rep.klass}")
-    G = sharp(S) @ S
-    lam = np.linalg.eigvals(G)
+    lam = np.linalg.eigvals(sharp(S) @ S)
     if np.any((lam.real <= 0) & (np.abs(lam.imag) <= 1e-12 * np.abs(lam))):
         raise DecompositionError("spectrum meets the negative real axis; principal root undefined")
-    Z = sqrtm(G)
-    U = S @ np.linalg.inv(Z)
-    normU = max(1.0, np.linalg.norm(U))
-    if np.linalg.norm(U.imag) > max(tol, 1e-8) * normU:
+    # the step size estimates the error of the previous iterate, which the
+    # quadratic convergence squares
+    X = S
+    for _ in range(100):
+        X, X_old = (X + np.linalg.inv(sharp(X))) / 2, X
+        if np.linalg.norm(X - X_old) <= 1e-9 * np.linalg.norm(X):
+            break
+    else:
+        raise DecompositionError("polar iteration did not converge")
+    if np.linalg.norm(X.imag) > max(tol, 1e-8) * max(1.0, np.linalg.norm(X)):
         raise DecompositionError("real factor of the polar decomposition came out complex")
-    U = U.real
+    U = X.real
     if not is_symplectic(U):
-        # an ill-conditioned Z leaves U too far from the group for the
-        # decompositions that consume it
+        # the symplectic SVD and the bounds consume U as a group element
         raise DecompositionError("real factor of the polar decomposition is not symplectic")
+    Z = sharp(U) @ S
     residual = float(np.linalg.norm(S - U @ Z) / max(1e-300, np.linalg.norm(S)))
     if residual > max(100 * tol, 1e-7):
         raise DecompositionError(f"polar residual {residual:.2e} exceeds tolerance")
@@ -645,49 +659,47 @@ def _williamson(P, tol=1e-9):
 def atomic_decompose(Z, tol=1e-9):
     """Atomic normal form of an exponential-type factor.
 
-    Writes ``Z = V^{-1} atom_matrix(theta, delta) V`` with ``V`` real
-    symplectic, by reading off the real quadratic generator: ``M = i log Z``
-    is real with ``P = -J M`` symmetric positive semidefinite.
+    Writes ``Z = V^{-1} Xi V`` with ``Xi = atom_matrix(theta, delta)`` and
+    ``V`` real symplectic.  Since ``J V^{-1} = V^T J``, the form
+    ``P = J Im Z = V^T (J Im Xi) V`` is symmetric positive semidefinite, and
+    ``J Im Xi`` is diagonal: ``sinh theta_j`` in both slots of a rotation
+    coordinate and ``delta_j`` in the position slot of a shear coordinate.
+    So the normal form of ``P`` reads off ``V`` and the parameters.
 
     * ``P = 0``: identity atom.
     * ``P`` definite: the normal form of ``P`` gives a pure rotation-type
-      atom, parameters descending.
+      atom, ``theta = arcsinh(lam)`` descending.
     * ``P`` singular: supported in dimension one only (rank-one shear atom);
-      higher-dimensional degenerate generators raise
+      higher-dimensional degenerate forms raise
       :class:`UnsupportedDegenerate`.
+
+    The reconstruction ``V^{-1} Xi V = Z`` is checked, which rejects an input
+    that is not of exponential type.
 
     Returns
     -------
     (V, theta, delta)
     """
-    from scipy.linalg import logm
-
     Z = np.asarray(Z, dtype=complex)
     Z = require_symplectic(Z, what="exponential factor")
     n = Z.shape[0]
     d = n // 2
     J = omega(d)
 
-    L = logm(Z)
-    M = 1j * L
-    if np.linalg.norm(M.imag) > max(1e3 * tol, 1e-8) * max(1.0, np.linalg.norm(M)):
-        raise DecompositionError("generator of the exponential factor is not real")
-    M = M.real
-    P = -J @ M
+    P = J @ Z.imag
     P = (P + P.T) / 2
 
     w = np.linalg.eigvalsh(P)
     scaleP = float(np.max(np.abs(w))) if w.size else 0.0
     if scaleP <= tol * max(1.0, np.linalg.norm(Z)):
-        return np.eye(n), np.zeros(d), np.zeros(d)
-    if w[0] < -tol * scaleP:
-        raise DecompositionError("generator is not positive semidefinite")
-
-    if w[0] > tol * scaleP:
+        V, theta, delta = np.eye(n), np.zeros(d), np.zeros(d)
+    elif w[0] < -tol * scaleP:
+        raise DecompositionError("J Im Z is not positive semidefinite")
+    elif w[0] > tol * scaleP:
         lam, V = _williamson(P, tol)
-        theta, delta = lam, np.zeros(d)
+        theta, delta = np.arcsinh(lam), np.zeros(d)
     elif d == 1:
-        # rank-one generator: P = kappa u u^T gives a pure shear atom in the
+        # rank-one form: P = kappa u u^T gives a pure shear atom in the
         # rotated frame with first row u
         kappa = float(w[-1])
         u = np.linalg.eigh(P)[1][:, -1]
@@ -695,7 +707,7 @@ def atomic_decompose(Z, tol=1e-9):
         theta, delta = np.zeros(1), np.array([kappa])
     else:
         raise UnsupportedDegenerate(
-            "semidefinite generators are only supported in dimension one")
+            "a singular form J Im Z is only supported in dimension one")
 
     back = np.linalg.inv(V) @ atom_matrix(theta, delta) @ V
     if np.linalg.norm(back - Z) > max(1e4 * tol, 1e-6) * max(1.0, np.linalg.norm(Z)):

@@ -330,16 +330,6 @@ def classify_pure_spectrogram(spec, tol=1e-8):
 # conjugation symmetry
 # ----------------------------------------------------------------------------
 
-def _wigner_matrix(d):
-    I, O = np.eye(d), np.zeros((d, d))
-    return np.block([
-        [I / 2, I / 2, O, O],
-        [O, O, I / 2, -I / 2],
-        [O, O, I, I],
-        [-I, I, O, O],
-    ])
-
-
 def conjugation_symmetric(spec, tol=1e-9, detail=False):
     """Is ``A(f, f)`` real for every signal, i.e. does the representation
     commute with complex conjugation?
@@ -362,7 +352,8 @@ def conjugation_symmetric(spec, tol=1e-9, detail=False):
         defect = max(defect, np.linalg.norm(_bl(A, r, 3, d) + s * np.conj(_bl(A, r, 2, d))))
     pattern = bool(defect <= tol * scale)
 
-    T = A @ np.linalg.inv(_wigner_matrix(d))
+    O = np.zeros((d, d))
+    T = A @ np.linalg.inv(_covariant_matrix(np.eye(d) / 2, O, O))
     cross = bool(np.linalg.norm(T - tilde(T)) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(T)))
     if pattern != cross:
         raise ModelError("conjugation-symmetry tests disagree")

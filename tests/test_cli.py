@@ -237,13 +237,26 @@ def test_evolve_example_json(runner):
 
 
 def test_evolve_hermite_defaults_record_nan_cells(runner):
-    # the polar factor stops being symplectic to working precision as cond Z
-    # grows; those cells become NaN while the exact L^2 column stays finite
+    # past t = 1.6 the realness gate may reject the polar factor; those cells
+    # become NaN while the exact L^2 column stays finite
     r = runner.invoke(main, ["evolve", "--example", "hermite", "--format", "json"])
     assert r.exit_code == 0
     rows = json.loads(r.output)
     assert len(rows) == 20
     assert all(np.isfinite(row["l2_ratio"]) for row in rows)
+
+
+def test_evolve_hermite_defaults_bounds_finite(runner):
+    # the structured polar split holds up to t = 1.6 (cond S about 5e8);
+    # past that the realness gate may reject the real factor
+    r = runner.invoke(main, ["evolve", "--example", "hermite", "--format", "json"])
+    assert r.exit_code == 0
+    rows = json.loads(r.output)
+    cols = ["polar_residual", "bound_u", "bound_z", "bound_combined"]
+    finite = [row for row in rows if all(np.isfinite(row[c]) for c in cols)]
+    assert all(row in finite for row in rows if row["t"] <= 1.6 + 1e-12)
+    assert len(finite) >= 17
+    assert all(row["bound_combined"] >= row["l2_ratio"] for row in finite)
 
 
 def test_evolve_hamiltonian_file(runner, files):

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from metaplectic.errors import (DecompositionError, UnsupportedShape,
-                                ValidationError)
+from metaplectic.errors import UnsupportedShape, ValidationError
 from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian,
                                  c_weight, combined_bound, cone_profile,
                                  evolve_trajectory, hamilton_map,
@@ -17,7 +16,7 @@ from metaplectic.gausscalc import (apply_word, norm, standard_gaussian,
                                    wigner_gaussian)
 from metaplectic.gridlab import GridSpec, grid_wigner, sample
 from metaplectic.sympcore import (atom_matrix, atom_r, fourier, is_symplectic,
-                                  matrix_polar, omega, random_word,
+                                  matrix_polar, omega, random_word, sharp,
                                   token_matrix, word_to_matrix)
 
 from conftest import random_state
@@ -169,12 +168,27 @@ def test_hermite_decay_rate():
         assert abs(slope - want) < 0.05 * abs(want)
 
 
-def test_polar_rejects_non_symplectic_real_factor():
-    # at t = 0.7 cond Z is about 7e3 and U misses the group by more than the
-    # tolerance that the symplectic SVD enforces
-    S = propagator_matrix(hermite_hamiltonian(1.0, 1.0, 1), 0.7)
-    with pytest.raises(DecompositionError):
-        matrix_polar(S)
+def test_polar_splits_ill_conditioned_hermite_flow():
+    # at t = 0.7 cond Z is about 7e3, whose square sank the sqrtm route; the
+    # flow splits exactly into the rotation exp(2 pi t J) and an atom
+    t = 0.7
+    S = propagator_matrix(hermite_hamiltonian(1.0, 1.0, 1), t)
+    pol = matrix_polar(S)
+    assert np.isrealobj(pol.U) and is_symplectic(pol.U)
+    assert np.linalg.norm(pol.U - sla.expm(2 * np.pi * t * omega(1))) <= 1e-10
+
+
+def test_polar_agrees_with_sqrtm_route():
+    # where the principal square root of sharp(S) S is accurate, it is Z
+    flows = [hermite_hamiltonian(1.0, 1.0, 1), heat_hamiltonian(1.0, 1.0, 2),
+             harmonic_hamiltonian(1, 1)]
+    for H in flows:
+        for t in (0.1, 0.3, 0.6):
+            S = propagator_matrix(H, t)
+            pol = matrix_polar(S)
+            Z = sla.sqrtm(sharp(S) @ S)
+            assert np.linalg.norm(pol.Z - Z) <= 1e-10 * np.linalg.norm(Z)
+            assert np.linalg.norm(pol.U - S @ np.linalg.inv(Z)) <= 1e-10 * np.linalg.norm(pol.U)
 
 
 def test_evolve_trajectory_heat_rows():

@@ -1,5 +1,5 @@
 """Source hygiene: every name a module imports is used in that module, and
-the commands that need no scipy do not load it."""
+cold commands load no more of scipy than they call."""
 import ast
 import json
 import os
@@ -40,23 +40,46 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_classify_loads_no_scipy(tmp_path):
-    # scipy is imported inside the functions that call it; a cold classify
-    # pays nothing for it
-    matrix = tmp_path / "matrix.json"
-    matrix.write_text('{"d": 1, "rows": [[[0, 0], [1, 0]], [[-1, 0], [0.5, 0]]]}')
-    out = tmp_path / "report.json"
+def _cold_run(args, prefix):
+    """Run the CLI in a fresh interpreter; return its exit code, its stderr
+    and the sorted loaded modules whose names start with ``prefix``."""
     script = (
         "import sys\n"
         "import metaplectic\n"
         "from metaplectic.cli import main\n"
-        f"main(['classify', '--matrix', {str(matrix)!r}, '--out', {str(out)!r}],"
-        " standalone_mode=False)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["class"] == "Real"
-    assert proc.stdout.strip() == "[]"
+    return proc.returncode, proc.stderr, proc.stdout.strip()
+
+
+@pytest.mark.parametrize("command", ["classify", "polar"])
+def test_classify_loads_no_scipy(tmp_path, command):
+    # scipy is imported inside the functions that call it; a cold classify
+    # or polar split pays nothing for it
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"d": 1, "rows": [[[0, 0], [1, 0]], [[-1, 0], [0.5, 0]]]}')
+    out = tmp_path / "report.json"
+    code, err, loaded = _cold_run([command, "--matrix", str(matrix), "--out", str(out)],
+                                  "scipy")
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    if command == "classify":
+        assert report["class"] == "Real"
+    else:
+        assert report["residual"] <= 1e-12
+    assert loaded == "[]"
+
+
+def test_evolve_loads_no_scipy_sparse(tmp_path):
+    # the atomic form reads the parameters off J Im Z; no matrix logarithm
+    # pulls in scipy.sparse
+    out = tmp_path / "rows.csv"
+    code, err, loaded = _cold_run(["evolve", "--example", "hermite", "--out", str(out)],
+                                  "scipy.sparse")
+    assert code == 0, err
+    assert len(out.read_text().splitlines()) == 21
+    assert loaded == "[]"

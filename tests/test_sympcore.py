@@ -13,9 +13,9 @@ from metaplectic.sympcore import (atom_matrix, atom_p, atom_r, atomic_decompose,
                                   is_symplectic, matrix_polar, multiplier,
                                   omega, positivity_matrix, pseudo_inverse,
                                   random_word, rescale, require_symplectic,
-                                  sharp, symplectic_svd, tensor_interleave,
-                                  tilde, tilde_word, token_matrix,
-                                  word_to_matrix)
+                                  schur_psd_test, sharp, symplectic_svd,
+                                  tensor_interleave, tilde, tilde_word,
+                                  token_matrix, word_to_matrix)
 
 
 def rand_word_matrix(seed, d=2, max_len=6):
@@ -129,6 +129,13 @@ def test_rescale_of_huge_factor_is_quiet():
     assert tok.mat == ((1e300,),)
 
 
+def test_rescale_of_huge_complex_factor_is_not_real():
+    # both Frobenius norms of these blocks overflow to inf unless scaled
+    for E in ([[1e300 + 1e300j]], [[1e300j]]):
+        with pytest.raises(ValidationError, match="must be real"):
+            rescale(np.array(E))
+
+
 def test_atoms_require_nonnegative():
     with pytest.raises(ValidationError):
         atom_r([-0.1])
@@ -215,6 +222,20 @@ def test_random_words_positive(seed, d):
     assert rep.klass in ("Positive", "StrictlyPositive", "Real")
 
 
+def test_schur_psd_test_matches_eigen_classification():
+    # positive words and their inverses, which are mostly not positive
+    rng = np.random.default_rng(70)
+    verdicts = set()
+    for _ in range(100):
+        S = word_to_matrix(random_word(rng, int(rng.integers(1, 4)), max_len=6))
+        for T in (S, inverse_symplectic(S)):
+            psd, cert = schur_psd_test(positivity_matrix(T))
+            assert cert["agrees"], cert
+            assert psd == classify_positivity(T).positive
+            verdicts.add(psd)
+    assert verdicts == {True, False}
+
+
 def test_pseudo_inverse_of_invertible():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -268,6 +289,16 @@ def test_atomic_decompose_pure_shear():
     V, theta, delta = atomic_decompose(Z)
     rebuilt = np.linalg.inv(V) @ atom_matrix(theta, delta) @ V
     assert np.linalg.norm(rebuilt - Z) <= 1e-9
+
+
+def test_atomic_decompose_rejects_non_exponential_factor():
+    # J Im Z is zero for a real rotation and semidefinite for a positive
+    # word with a rotation in front; neither is V^-1 Xi V
+    rot = token_matrix(fourier(1)).real
+    S = rot @ atom_matrix(np.array([0.5]), np.zeros(1))
+    for Z in (rot, S):
+        with pytest.raises(DecompositionError):
+            atomic_decompose(Z)
 
 
 def test_symplectic_svd_structure():
