@@ -2,9 +2,10 @@
 
 Every subcommand reads JSON from files (or ``-`` for stdin), writes to
 ``--out`` (default stdout), and maps failures to stable exit codes:
-1 for validation errors (bad mathematical input), 2 for format errors
-(malformed files or impossible output requests), 3 for numerical errors
-(degenerate decompositions, branch failures).
+1 for validation errors (bad mathematical input), 2 for format and usage
+errors (malformed files, options out of range or impossible output
+requests), 3 for numerical errors (degenerate decompositions, branch
+failures).
 """
 
 from __future__ import annotations
@@ -319,12 +320,12 @@ def tfr_windows(tfr_path, tol, out):
               help="Coefficient matrix JSON (file or '-').")
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--dim", type=int, default=1, show_default=True,
+@click.option("--dim", type=click.IntRange(min=1), default=1, show_default=True,
               help="Dimension for heat/hermite models.")
-@click.option("--d1", type=int, default=1, show_default=True,
+@click.option("--d1", type=click.IntRange(min=0), default=1, show_default=True,
               help="Hyperbolic coordinates of the harmonic model.")
-@click.option("--d2", type=int, default=1, show_default=True,
-              help="Elliptic coordinates of the harmonic model.")
+@click.option("--d2", type=click.IntRange(min=0), default=1, show_default=True,
+              help="Elliptic coordinates of the harmonic model (d1 + d2 >= 1).")
 @click.option("--t-max", type=float, default=2.0, show_default=True)
 @click.option("--t-steps", type=int, default=20, show_default=True)
 @click.option("--p", type=float, default=2.0, show_default=True)
@@ -346,6 +347,8 @@ def evolve(example, ham_path, alpha, beta, dim, d1, d2, t_max, t_steps,
     elif example == "hermite":
         H = evoprop.hermite_hamiltonian(alpha, beta, dim)
     elif example == "harmonic":
+        if d1 + d2 < 1:
+            raise FormatError("--d1 + --d2 must be at least 1")
         H = evoprop.harmonic_hamiltonian(d1, d2)
     else:
         H = formats.load_hamiltonian(_read_json(ham_path, "Hamiltonian"))

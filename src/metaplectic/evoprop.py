@@ -73,6 +73,8 @@ class QuadraticHamiltonian:
     Qmat: np.ndarray
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValidationError("dimension must be >= 1")
         Q = np.asarray(self.Qmat, dtype=complex)
         if Q.shape != (2 * self.d, 2 * self.d):
             raise ValidationError(f"coefficient matrix must be {2*self.d} x {2*self.d}")

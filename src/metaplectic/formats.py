@@ -8,8 +8,8 @@ files.  Complex numbers are ``[re, im]`` pairs throughout.
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import struct
 
 import numpy as np
@@ -78,18 +78,21 @@ def dump_complex(z):
     return [float(z.real), float(z.imag)]
 
 
+def _as_real(x, what):
+    _expect(isinstance(x, (int, float)) and not isinstance(x, bool), f"{what} must be a number")
+    # json reads NaN and Infinity as floats, and integer literals of any size
+    try:
+        x = float(x)
+    except OverflowError:
+        raise FormatError(f"{what} must be finite")
+    _expect(math.isfinite(x), f"{what} must be finite")
+    return x
+
+
 def load_complex(obj, what="complex entry"):
     _expect(isinstance(obj, (list, tuple)) and len(obj) == 2, f"{what} must be a [re, im] pair")
     re, im = obj
-    _expect(isinstance(re, (int, float)) and not isinstance(re, bool), f"{what} real part must be a number")
-    _expect(isinstance(im, (int, float)) and not isinstance(im, bool), f"{what} imaginary part must be a number")
-    # json reads NaN and Infinity as floats, and integer literals of any size
-    try:
-        z = complex(re, im)
-    except OverflowError:
-        raise FormatError(f"{what} must be finite")
-    _expect(cmath.isfinite(z), f"{what} must be finite")
-    return z
+    return complex(_as_real(re, f"{what} real part"), _as_real(im, f"{what} imaginary part"))
 
 
 def dump_matrix(M, d):
@@ -121,6 +124,11 @@ def dump_vector(b):
 def load_vector(obj, what="vector"):
     _expect(isinstance(obj, list), f"{what} must be a list of [re, im] pairs")
     return np.array([load_complex(e, what) for e in obj], dtype=complex)
+
+
+def _load_reals(obj, what):
+    _expect(isinstance(obj, list), f"{what} must be a list of numbers")
+    return np.array([_as_real(x, f"{what} entry {j}") for j, x in enumerate(obj)])
 
 
 def dump_state(f):
@@ -191,13 +199,9 @@ def load_token(obj, d, what="token"):
         m = obj.get("maslov", 0)
         return rescale(E, maslov=_as_int(m, f"{what} phase index"))
     if op == "atom_r":
-        th = _get(obj, "theta", what)
-        _expect(isinstance(th, list), f"{what} theta must be a list of numbers")
-        return atom_r(np.asarray(th, dtype=float))
+        return atom_r(_load_reals(_get(obj, "theta", what), f"{what} theta"))
     if op == "atom_p":
-        de = _get(obj, "delta", what)
-        _expect(isinstance(de, list), f"{what} delta must be a list of numbers")
-        return atom_p(np.asarray(de, dtype=float))
+        return atom_p(_load_reals(_get(obj, "delta", what), f"{what} delta"))
     raise FormatError(f"unknown token kind '{op}'")
 
 

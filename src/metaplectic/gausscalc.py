@@ -16,9 +16,11 @@ Conventions fixed once:
 
 * the Fourier generator is ``i^{-d/2}`` times the classical transform
   (integral kernel ``exp(-2 pi i x . xi)``);
+* every token except a rescale acts through one formula, the matrix
+  action ``Q -> (C + D Q)(A + B Q)^{-1}`` of :func:`apply_matrix`;
 * square roots of determinants are taken eigenvalue-by-eigenvalue on the
-  principal branch, which matches the continuous branch tracking of the
-  metaplectic phase for every word built from the generator tokens;
+  principal branch; for a token matrix ``det(A + iB)^{-1/2}`` is then the
+  token's metaplectic phase, so words carry a definite phase;
 * the action of a matrix fixes that root once per matrix and continues it
   from the ground state to every other state, so a matrix acts as one
   linear operator, defined up to a global sign;
@@ -32,15 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, UnsupportedDegenerate, ValidationError
+from .errors import DecompositionError, ValidationError
 from .sympcore import (
     Token,
     blocks,
-    chirp,
-    factor_R_theta,
-    rescale,
+    from_blocks,
     semidefinite,
     sym_part,
+    token_matrix,
     word_dim,
     word_to_matrix,
 )
@@ -193,43 +194,27 @@ def complex_shift(f, zx, zw, tau=0.0):
 # token and word action
 # ----------------------------------------------------------------------------
 
-def _apply_fourier(f):
-    """The Fourier token: the classical transform in every variable times
-    the metaplectic phase ``exp(-i pi d / 4)``."""
-    return _partial_fourier_second(f, 0, phase=np.exp(-0.25j * np.pi * f.d))
-
-
 def apply_token(t, f):
-    """Apply one generator token to a state or sum; exact in parameters."""
+    """Apply one generator token to a state or sum; exact in parameters.
+
+    A rescale carries its own phase ``i^maslov |det E|^{1/2}``.  Every other
+    token acts through :func:`apply_matrix` on its matrix, where the root
+    ``det(A + iB)^{-1/2}`` is the token's metaplectic phase: ``exp(-i pi d/4)``
+    for the Fourier token, 1 for a chirp and ``atom_p``, and the continuous
+    branch from the identity for a multiplier and ``atom_r`` (``A + iB``
+    keeps its spectrum in the open right half plane there).
+    """
     if isinstance(f, list):
         return [apply_token(t, g) for g in f]
     if not isinstance(t, Token):
         raise ValidationError("apply_token expects a generator token")
     if t.d != f.d:
         raise ValidationError(f"token dimension {t.d} does not match state dimension {f.d}")
-    d = f.d
-    if t.op == "chirp":
-        return GaussianState(d, f.c, f.Q + t.matrix_param(), f.b, f.allow_degenerate)
     if t.op == "rescale":
         E = t.matrix_param().real
         c = f.c * (1j) ** (t.maslov % 4) * np.sqrt(abs(np.linalg.det(E)))
-        return GaussianState(d, c, E.T @ f.Q @ E, E.T @ f.b, f.allow_degenerate)
-    if t.op == "fourier":
-        return _apply_fourier(f)
-    if t.op == "multiplier":
-        # conjugate a chirp by the Fourier transform: transform, multiply by
-        # exp(-i pi P xi.xi), transform again, undo the parity with the
-        # phase-correct inverse-transform rescale
-        P = t.matrix_param()
-        g = _apply_fourier(f)
-        g = apply_token(chirp(-P), g)
-        g = _apply_fourier(g)
-        return apply_token(rescale(-np.eye(d), maslov=d), g)
-    if t.op == "atom_r":
-        return apply_word(factor_R_theta(t.vector_param()), f)
-    if t.op == "atom_p":
-        return apply_token(chirp(1j * np.diag(t.vector_param())), f)
-    raise ValidationError(f"unknown token op {t.op!r}")
+        return GaussianState(f.d, c, E.T @ f.Q @ E, E.T @ f.b, f.allow_degenerate)
+    return apply_matrix(token_matrix(t), f)
 
 
 def apply_word(word, f):
@@ -272,7 +257,7 @@ def apply_matrix(S, f, tol=1e-10):
         raise DecompositionError("matrix action is singular on the ground state")
     if np.min(np.abs(lam)) < tol * max(1.0, float(np.max(np.abs(lam)))):
         raise DecompositionError("matrix action is singular on this state")
-    Qp = (C + D @ f.Q) @ np.linalg.inv(T)
+    Qp = np.linalg.solve(T.T, (C + D @ f.Q).T).T
     Qp = (Qp + Qp.T) / 2
     Bb = B @ f.b
     bp = D @ f.b - Qp @ Bb
@@ -305,53 +290,36 @@ def norm(f):
 # Wigner distribution
 # ----------------------------------------------------------------------------
 
-def _partial_fourier_second(f, d1, phase=1.0):
-    """Classical Fourier transform in the last ``d - d1`` variables of a
-    Gaussian state (``d1 = 0`` transforms all), times ``phase``."""
-    Q11, Q12 = f.Q[:d1, :d1], f.Q[:d1, d1:]
-    Q22 = f.Q[d1:, d1:]
-    b1, b2 = f.b[:d1], f.b[d1:]
-    lam = np.linalg.eigvals(Q22)
-    if np.min(np.abs(lam)) < 1e-13 * max(1.0, float(np.max(np.abs(lam)))):
-        raise UnsupportedDegenerate("Fourier transform of a flat Gaussian leaves the class")
-    S22 = np.linalg.inv(Q22)
-    S22 = (S22 + S22.T) / 2
-    T = Q12 @ S22
-    u = S22 @ b2
-    Qp = np.empty_like(f.Q)
-    Qp[:d1, :d1] = Q11 - T @ Q12.T
-    Qp[:d1, d1:] = T
-    Qp[d1:, :d1] = T.T
-    Qp[d1:, d1:] = -S22
-    bp = np.concatenate([b1 - Q12 @ u, u])
-    c = phase * f.c * det_pow(-1j * Q22, -0.5) * np.exp(-1j * np.pi * u @ b2)
-    return GaussianState(f.d, c, Qp, bp, f.allow_degenerate)
-
-
 def wigner_gaussian(f, g=None):
     """Cross-Wigner distribution ``W(f, g)`` as a 2d-dimensional Gaussian sum.
 
     ``W(f, g)(x, xi) = int f(x + y/2) conj(g(x - y/2)) e^{-2 pi i y.xi} dy``
     computed exactly: tensor ``f`` with the conjugate of ``g``, pull back by
     the coordinate change ``(x, y) -> (x + y/2, x - y/2)``, and take the
-    classical Fourier transform in ``y``.  ``W(f, f)`` is real; for the
-    standard Gaussian ``W = 2^{d/2} exp(-2 pi |z|^2)``.
+    classical Fourier transform in ``y``.  That transform is
+    :func:`apply_matrix` of the partial Fourier matrix, whose metaplectic
+    phase ``exp(-i pi d/4)`` the amplitude cancels in advance.  ``W(f, f)``
+    is real; for the standard Gaussian ``W = 2^{d/2} exp(-2 pi |z|^2)``.
     """
     if g is None:
         g = f
     fterms, gterms = _terms(f), _terms(g)
     d = fterms[0].d
     Ew = np.block([[np.eye(d), np.eye(d) / 2], [np.eye(d), -np.eye(d) / 2]])
+    X = np.diag(np.r_[np.ones(d), np.zeros(d)])
+    Y = np.eye(2 * d) - X
+    F2 = from_blocks(X, Y, -Y, X)
+    phase = np.exp(0.25j * np.pi * d)
     out = []
     for tf in fterms:
         for tg in gterms:
             tgc = conjugate_state(tg)
             Qt = np.zeros((2 * d, 2 * d), dtype=complex)
             Qt[:d, :d], Qt[d:, d:] = tf.Q, tgc.Q
-            h = GaussianState(2 * d, tf.c * tgc.c, Qt, np.r_[tf.b, tgc.b],
+            h = GaussianState(2 * d, phase * tf.c * tgc.c, Ew.T @ Qt @ Ew,
+                              Ew.T @ np.r_[tf.b, tgc.b],
                               tf.allow_degenerate or tg.allow_degenerate)
-            h = GaussianState(2 * d, h.c, Ew.T @ h.Q @ Ew, Ew.T @ h.b, h.allow_degenerate)
-            out.append(_partial_fourier_second(h, d))
+            out.append(apply_matrix(F2, h))
     return out if (isinstance(f, list) or isinstance(g, list)) else out[0]
 
 

@@ -379,6 +379,16 @@ def _freeze(M):
     return tuple(map(tuple, np.asarray(M, dtype=complex)))
 
 
+def _matrix_param(M, what):
+    """A token's matrix parameter: nonempty, square and finite."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValidationError(f"{what} must be a nonempty square matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValidationError(f"{what} must be finite")
+    return M
+
+
 def fourier(d):
     """Fourier generator in dimension ``d`` (matrix ``J``)."""
     if d < 1:
@@ -388,7 +398,7 @@ def fourier(d):
 
 def chirp(Q, tol=1e-10):
     """Multiplication by ``exp(i pi Q x . x)``; requires ``Im Q >= 0``."""
-    Q = sym_part(np.atleast_2d(np.asarray(Q, dtype=complex)), "chirp parameter")
+    Q = sym_part(_matrix_param(Q, "chirp parameter"), "chirp parameter")
     if not semidefinite(Q.imag, tol):
         raise ValidationError("chirp parameter needs positive semidefinite imaginary part")
     return Token("chirp", Q.shape[0], mat=_freeze(Q))
@@ -396,7 +406,7 @@ def chirp(Q, tol=1e-10):
 
 def rescale(E, maslov=0, tol=1e-10):
     """Dilation ``f -> i^maslov |det E|^{1/2} f(E x)``; E real invertible."""
-    E = np.atleast_2d(np.asarray(E, dtype=complex))
+    E = _matrix_param(E, "rescale matrix")
     real, invertible = _real_invertible(E, tol)
     if not real:
         raise ValidationError("rescale matrix must be real")
@@ -409,7 +419,7 @@ def rescale(E, maslov=0, tol=1e-10):
 def multiplier(P, tol=1e-10):
     """Fourier-side chirp: multiplies the transform by ``exp(-i pi P xi . xi)``;
     requires ``Im P <= 0``."""
-    P = sym_part(np.atleast_2d(np.asarray(P, dtype=complex)), "multiplier parameter")
+    P = sym_part(_matrix_param(P, "multiplier parameter"), "multiplier parameter")
     if not semidefinite(-P.imag, tol):
         raise ValidationError("multiplier parameter needs negative semidefinite imaginary part")
     return Token("multiplier", P.shape[0], mat=_freeze(P))
@@ -417,6 +427,10 @@ def multiplier(P, tol=1e-10):
 
 def _atom_vec(v, what):
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.ndim != 1 or not v.size:
+        raise ValidationError(f"{what} parameters must be a nonempty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} parameters must be finite")
     if np.any(v < -1e-12):
         raise ValidationError(f"{what} parameters must be nonnegative")
     return np.maximum(v, 0.0)

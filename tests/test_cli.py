@@ -146,6 +146,29 @@ def test_gaussian_apply_word_xor_matrix(runner, files):
     assert r.exit_code == 2
 
 
+def _exits_cleanly(r, code):
+    # a handled error exits through SystemExit; an escaped exception would
+    # leave a traceback behind
+    assert r.exit_code == code, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("op", ["atom_r", "atom_p"])
+@pytest.mark.parametrize("entries", ['["x"]', "[" + str(2**1100) + "]", "[1e999999]",
+                                     "[NaN]", "[null]", "[[0.5]]", "[true]", "0.5"],
+                         ids=["string", "huge-int", "overflow", "nan", "null",
+                              "nested", "bool", "scalar"])
+def test_atom_parameters_parse_like_matrix_entries(runner, files, tmp_path, op, entries):
+    key = "theta" if op == "atom_r" else "delta"
+    path = tmp_path / "atom.json"
+    path.write_text(f'{{"d": 1, "tokens": [{{"op": "{op}", "{key}": {entries}}}]}}')
+    r = runner.invoke(main, ["gaussian", "apply", "--word", str(path),
+                             "--state", files["state.json"]])
+    _exits_cleanly(r, 2)
+    assert r.stderr.startswith("format error:")
+
+
 def test_gaussian_apply_csv(runner, files):
     r = runner.invoke(main, ["gaussian", "apply", "--word", files["word.json"],
                              "--state", files["state.json"], "--format", "csv",
@@ -270,6 +293,18 @@ def test_evolve_example_xor_hamiltonian(runner, files):
     r = runner.invoke(main, ["evolve", "--example", "heat",
                              "--hamiltonian", files["ham.json"]])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--example", "heat", "--dim", "0"],
+    ["--example", "hermite", "--dim", "0"],
+    ["--example", "heat", "--dim", "-1"],
+    ["--example", "harmonic", "--d1", "0", "--d2", "0"],
+    ["--example", "harmonic", "--d1", "-1"],
+])
+def test_evolve_rejects_dimension_out_of_range(runner, args):
+    # an option out of range is a usage error: exit 2, like a format error
+    _exits_cleanly(runner.invoke(main, ["evolve", *args]), 2)
 
 
 def test_out_file_option(runner, files, tmp_path):

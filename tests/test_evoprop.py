@@ -29,6 +29,8 @@ def test_hamiltonian_validation():
         QuadraticHamiltonian(1, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         QuadraticHamiltonian(1, -np.eye(2))
+    with pytest.raises(ValidationError):
+        QuadraticHamiltonian(0, np.zeros((0, 0)))
 
 
 def test_hamilton_map_and_flow_symplectic():

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metaplectic.errors import ValidationError
+from metaplectic.errors import NumericalError, ValidationError
 from metaplectic.gausscalc import (GaussianState, apply_matrix, apply_token,
                                    apply_word, check_intertwining,
                                    complex_shift, conjugate_state, eval_state,
                                    gaussian_integral, inner_product, norm,
                                    shift, standard_gaussian, wigner_gaussian)
-from metaplectic.sympcore import (atom_r, chirp, fourier, multiplier,
-                                  random_word, rescale, tilde_word,
+from metaplectic.sympcore import (atom_r, chirp, factor_R_theta, fourier,
+                                  multiplier, random_word, rescale, tilde_word,
                                   word_to_matrix)
 
 from conftest import random_state, rel_values
@@ -117,6 +117,46 @@ def test_hermite_semigroup_fixes_ground_state():
     x = np.linspace(-1, 1, 7)[:, None]
     assert rel_values(eval_state(g, x),
                       np.exp(-th / 2) * eval_state(f, x)) < 1e-13
+
+
+def _parameter_gap(g, h):
+    """Largest relative difference of ``Q``, ``b`` and ``c`` (phase included)."""
+    return max(np.linalg.norm(g.Q - h.Q) / max(1.0, np.linalg.norm(h.Q)),
+               np.linalg.norm(g.b - h.b) / max(1.0, np.linalg.norm(h.b)),
+               abs(g.c - h.c) / max(1.0, abs(h.c)))
+
+
+def test_atom_r_token_matches_factored_word():
+    # the token acts through its matrix; the five-token factorization that
+    # the grid route uses is an independent check of it, phase included
+    rng = np.random.default_rng(31)
+    for k in range(60):
+        d = 1 + k % 3
+        theta = rng.uniform(0.0, 2.0, d)
+        f = random_state(rng, d)
+        assert _parameter_gap(apply_token(atom_r(theta), f),
+                              apply_word(factor_R_theta(theta), f)) < 1e-12
+
+
+def test_multiplier_token_matches_fourier_conjugated_chirp():
+    # a multiplier is the chirp exp(-i pi P xi.xi) conjugated by the Fourier
+    # transform; the phase-correct parity flip turns F F into the identity
+    rng = np.random.default_rng(32)
+    for k in range(200):
+        d = 1 + k % 3
+        M, N = rng.normal(size=(d, d)), rng.normal(size=(d, d)) * 0.6
+        P = (M + M.T) / 2 - 1j * N @ N.T
+        f = random_state(rng, d)
+        chain = [rescale(-np.eye(d), maslov=d), fourier(d), chirp(-P), fourier(d)]
+        assert _parameter_gap(apply_token(multiplier(P), f),
+                              apply_word(chain, f)) < 1e-12
+
+
+def test_fourier_of_flat_state_raises():
+    # the transform of a plane wave is a point mass, outside the Gaussian class
+    flat = GaussianState(1, 1.0, [[0.0]], [0.3], allow_degenerate=True)
+    with pytest.raises(NumericalError):
+        apply_token(fourier(1), flat)
 
 
 @settings(max_examples=25, deadline=None)

@@ -56,21 +56,37 @@ def _cold_run(args, prefix):
     return proc.returncode, proc.stderr, proc.stdout.strip()
 
 
-@pytest.mark.parametrize("command", ["classify", "polar"])
+STATE = '{"d": 1, "c": [1, 0], "Q": {"d": 1, "rows": [[[0.2, 0.8]]]}, "b": [[0.3, -0.2]]}'
+WORD = ('{"d": 1, "tokens": [{"op": "fourier"}, {"op": "atom_r", "theta": [0.5]}, '
+        '{"op": "multiplier", "P": {"d": 1, "rows": [[[0.3, -0.4]]]}}, '
+        '{"op": "rescale", "E": {"d": 1, "rows": [[[-2, 0]]]}, "maslov": 1}]}')
+
+
+@pytest.mark.parametrize("command", ["classify", "polar", "gaussian-apply", "gaussian-wigner"])
 def test_classify_loads_no_scipy(tmp_path, command):
-    # scipy is imported inside the functions that call it; a cold classify
-    # or polar split pays nothing for it
+    # scipy is imported inside the functions that call it; a cold classify,
+    # polar split, word action or Wigner transform pays nothing for it
     matrix = tmp_path / "matrix.json"
     matrix.write_text('{"d": 1, "rows": [[[0, 0], [1, 0]], [[-1, 0], [0.5, 0]]]}')
+    state, word = tmp_path / "state.json", tmp_path / "word.json"
+    state.write_text(STATE)
+    word.write_text(WORD)
     out = tmp_path / "report.json"
-    code, err, loaded = _cold_run([command, "--matrix", str(matrix), "--out", str(out)],
-                                  "scipy")
+    args = {
+        "classify": ["classify", "--matrix", str(matrix)],
+        "polar": ["polar", "--matrix", str(matrix)],
+        "gaussian-apply": ["gaussian", "apply", "--word", str(word), "--state", str(state)],
+        "gaussian-wigner": ["gaussian", "wigner", "--state", str(state)],
+    }[command]
+    code, err, loaded = _cold_run(args + ["--out", str(out)], "scipy")
     assert code == 0, err
     report = json.loads(out.read_text())
     if command == "classify":
         assert report["class"] == "Real"
-    else:
+    elif command == "polar":
         assert report["residual"] <= 1e-12
+    else:
+        assert report["d"] == (2 if command == "gaussian-wigner" else 1)
     assert loaded == "[]"
 
 

@@ -143,6 +143,17 @@ def test_atoms_require_nonnegative():
         atom_p([-0.5])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: atom_r([np.nan]), lambda: atom_p([np.inf]), lambda: atom_r([]),
+    lambda: atom_p([[0.5]]), lambda: rescale([[np.nan]]), lambda: rescale([[1.0, 2.0]]),
+    lambda: chirp([[np.inf]]), lambda: multiplier(np.zeros((0, 0))),
+], ids=["atom_r-nan", "atom_p-inf", "atom_r-empty", "atom_p-nested", "rescale-nan",
+        "rescale-rectangular", "chirp-inf", "multiplier-empty"])
+def test_token_factories_reject_nonfinite_and_empty(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 def test_word_order_first_token_acts_last():
     Q = np.array([[0.7]])
     E = np.array([[2.0]])
