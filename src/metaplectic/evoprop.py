@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 
+def _require_dim(d):
+    # checked before any array of that size is built
+    if d < 1:
+        raise ValidationError("dimension must be >= 1")
+
+
 @dataclass
 class QuadraticHamiltonian:
     """Dimension ``d`` and the ``2d x 2d`` complex symmetric coefficient
@@ -73,8 +79,7 @@ class QuadraticHamiltonian:
     Qmat: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("dimension must be >= 1")
+        _require_dim(self.d)
         Q = np.asarray(self.Qmat, dtype=complex)
         if Q.shape != (2 * self.d, 2 * self.d):
             raise ValidationError(f"coefficient matrix must be {2*self.d} x {2*self.d}")
@@ -89,12 +94,49 @@ def hamilton_map(H):
     return omega(H.d) @ H.Qmat
 
 
+# numerator coefficients of the [13/13] Pade approximant to exp, and the
+# 1-norm up to which it is accurate to unit roundoff (Higham, SIMAX 26, 2005)
+_PADE13 = (64764752532480000., 32382376266240000., 7771770303897600.,
+           1187353796428800., 129060195264000., 10559470521600., 670442572800.,
+           33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A):
+    """Matrix exponential by [13/13] Pade scaling and squaring.
+
+    ``A`` is scaled by ``2^-s`` into the region where the approximant is
+    accurate, the approximant ``(V - W)^{-1} (V + W)`` is formed from the
+    odd part ``W`` and the even part ``V``, and the result is squared ``s``
+    times.  A non-finite ``A``, or an exponential past the float range,
+    gives a non-finite result."""
+    A = np.asarray(A, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm1 = float(np.abs(A).sum(axis=0).max())
+        if not np.isfinite(norm1):
+            return np.full_like(A, np.nan)
+        s = max(0, math.ceil(math.log2(norm1 / _THETA13))) if norm1 > 0 else 0
+        A = A / 2.0 ** s
+        b = _PADE13
+        I = np.eye(A.shape[0])
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        W = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+        R = np.linalg.solve(V - W, V + W)
+        for _ in range(s):
+            R = R @ R
+    return R
+
+
 def propagator_matrix(H, t):
     """Flow matrix ``S_t = exp(-2 i t F)``; complex symplectic, and positive
-    for ``t >= 0``."""
-    from scipy.linalg import expm
-
-    S = expm(-2j * t * hamilton_map(H))
+    for ``t >= 0``.  The exponential is the numpy Pade routine
+    :func:`_expm`; a flow that overflows fails the symplectic check."""
+    S = _expm(-2j * t * hamilton_map(H))
     return require_symplectic(S, what="propagator matrix")
 
 
@@ -221,6 +263,7 @@ def heat_hamiltonian(alpha=1.0, beta=1.0, d=1):
     ``S_t = [[I, -2 pi (alpha + i beta) t I], [0, I]]``.  The L^2 norm of
     the standard Gaussian decays as ``(1 + 2 pi beta t)^{-d/4}``; the
     dispersion alone leaves it unchanged."""
+    _require_dim(d)
     Q = np.zeros((2 * d, 2 * d), dtype=complex)
     Q[d:, d:] = np.pi * (beta - 1j * alpha) * np.eye(d)
     return QuadraticHamiltonian(d, Q)
@@ -230,12 +273,16 @@ def hermite_hamiltonian(alpha=1.0, beta=0.0, d=1):
     """Isotropic oscillator semigroup generator ``pi (alpha + i beta) |z|^2``;
     the flow is a commuting product of a rotation (speed ``2 pi beta``) and a
     rotation-type atom (rate ``2 pi alpha``)."""
+    _require_dim(d)
     return QuadraticHamiltonian(d, np.pi * (alpha + 1j * beta) * np.eye(2 * d))
 
 
 def harmonic_hamiltonian(d1=1, d2=1):
     """Mixed model with ``d1`` coordinates of ``x^2 + xi^2`` type and ``d2``
     of ``i(x^2 + xi^2)`` type: hyperbolic and elliptic blocks side by side."""
+    if min(d1, d2) < 0:
+        raise ValidationError("block dimensions must be >= 0")
+    _require_dim(d1 + d2)
     dc = np.r_[np.ones(d1), 1j * np.ones(d2)]
     return QuadraticHamiltonian(d1 + d2, np.diag(np.r_[dc, dc]))
 

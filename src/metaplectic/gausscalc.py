@@ -258,7 +258,7 @@ def apply_matrix(S, f, tol=1e-10):
     if np.min(np.abs(lam)) < tol * max(1.0, float(np.max(np.abs(lam)))):
         raise DecompositionError("matrix action is singular on this state")
     Qp = np.linalg.solve(T.T, (C + D @ f.Q).T).T
-    Qp = (Qp + Qp.T) / 2
+    Qp = Qp / 2 + Qp.T / 2
     Bb = B @ f.b
     bp = D @ f.b - Qp @ Bb
     c = f.c * det_pow(T0, -0.5) * np.prod(lam ** -0.5) \

@@ -139,19 +139,27 @@ def require_symplectic(S, tol=1e-10, what="matrix"):
 
 
 def sym_part(M, what, tol=1e-8):
-    """Symmetrize, guarding against genuinely asymmetric input."""
+    """Symmetrize, guarding against genuinely asymmetric input.
+
+    The defect is measured on ``M`` divided by ``max(1, max |M/2|)``, whose
+    entries have modulus at most two, so huge finite entries cannot
+    overflow the norms.  That divisor lies between 1 and ``||M||``, so the
+    verdict is the one for ``M`` itself; halving before adding keeps the
+    result finite."""
     M = np.asarray(M)
-    asym = np.linalg.norm(M - M.T)
-    if asym > tol * max(1.0, np.linalg.norm(M)):
+    with np.errstate(invalid="ignore"):  # an inf entry scales to nan
+        Mn = M / np.abs(M / 2).max(initial=1.0)
+    asym = np.linalg.norm(Mn - Mn.T)
+    if asym > tol * max(1.0, np.linalg.norm(Mn)):
         raise ValidationError(f"{what} is not symmetric (relative defect {asym:.2e})")
-    return (M + M.T) / 2
+    return M / 2 + M.T / 2
 
 
 def semidefinite(H, tol, definite=False):
     """Is the symmetric part of real ``H`` positive semidefinite (or, with
     ``definite``, positive definite) up to the relative margin
     ``tol * max(1, max |eig|)``?  The negative side is tested on ``-H``."""
-    w = np.linalg.eigvalsh((H + H.T) / 2)
+    w = np.linalg.eigvalsh(H / 2 + H.T / 2)
     if not w.size:
         return True
     margin = tol * max(1.0, float(np.max(np.abs(w))))
@@ -341,10 +349,13 @@ def tensor_interleave(S1, S2):
     with each quadrant the block diagonal of the corresponding quadrants, so
     that the symplectic form on the joint phase space is again standard.
     """
-    from scipy.linalg import block_diag
-
-    pairs = zip(blocks(np.asarray(S1, dtype=complex)), blocks(np.asarray(S2, dtype=complex)))
-    return from_blocks(*(block_diag(X, Y) for X, Y in pairs))
+    S1, S2 = np.asarray(S1, dtype=complex), np.asarray(S2, dtype=complex)
+    d1, d2 = len(blocks(S1)[0]), len(blocks(S2)[0])
+    d = d1 + d2
+    S = np.zeros((2 * d, 2 * d), dtype=complex)
+    for Sk, idx in ((S1, np.r_[:d1, d:d + d1]), (S2, np.r_[d1:d, d + d1:2 * d])):
+        S[np.ix_(idx, idx)] = Sk
+    return S
 
 
 # ----------------------------------------------------------------------------
@@ -577,13 +588,18 @@ def matrix_polar(S, tol=1e-9):
     of ``sharp(S) @ S`` (which is ``Z^2``) avoids the closed negative real
     axis, and it never forms that product, so ``cond Z`` is not squared.
 
+    For symplectic ``S``, ``sharp(S)^{-1} = conj(S)``, so the first step is
+    exactly ``Re S``; from there every iterate is real, and the iteration
+    runs in real arithmetic as ``X <- (X + J^T X^{-T} J) / 2``.  ``U`` is
+    therefore real by construction.
+
     Raises
     ------
     ValidationError
         If ``S`` is not symplectic or not positive.
     DecompositionError
-        If the spectrum touches the branch cut, the iteration stalls, or
-        ``U`` fails to be real symplectic.
+        If the spectrum touches the branch cut, ``Re S`` or an iterate is
+        singular, the iteration stalls, or ``U`` fails to be symplectic.
     """
     S = np.asarray(S, dtype=complex)
     rep = classify_positivity(S)
@@ -596,16 +612,18 @@ def matrix_polar(S, tol=1e-9):
         raise DecompositionError("spectrum meets the negative real axis; principal root undefined")
     # the step size estimates the error of the previous iterate, which the
     # quadratic convergence squares
-    X = S
-    for _ in range(100):
-        X, X_old = (X + np.linalg.inv(sharp(X))) / 2, X
-        if np.linalg.norm(X - X_old) <= 1e-9 * np.linalg.norm(X):
-            break
-    else:
-        raise DecompositionError("polar iteration did not converge")
-    if np.linalg.norm(X.imag) > max(tol, 1e-8) * max(1.0, np.linalg.norm(X)):
-        raise DecompositionError("real factor of the polar decomposition came out complex")
-    U = X.real
+    J = omega(S.shape[0] // 2)
+    X = S.real
+    try:
+        for _ in range(100):
+            X, X_old = (X + J.T @ np.linalg.inv(X).T @ J) / 2, X
+            if np.linalg.norm(X - X_old) <= 1e-9 * np.linalg.norm(X):
+                break
+        else:
+            raise DecompositionError("polar iteration did not converge")
+    except np.linalg.LinAlgError:
+        raise DecompositionError("polar iteration met a singular iterate") from None
+    U = X
     if not is_symplectic(U):
         # the symplectic SVD and the bounds consume U as a group element
         raise DecompositionError("real factor of the polar decomposition is not symplectic")
@@ -621,12 +639,12 @@ def _williamson(P, tol=1e-9):
     ``(lam, V)`` with ``V`` real symplectic, ``lam`` descending, and
     ``P = V^T diag(lam, lam) V``.
 
-    The construction diagonalizes the antisymmetric ``K = P^{-1/2} J P^{-1/2}``
-    by a real Schur form; the same orthogonal matrix then block-diagonalizes
-    both half powers of ``P``, and a diagonal rescaling symplectifies it.
+    The construction block-diagonalizes the antisymmetric
+    ``K = P^{-1/2} J P^{-1/2}`` by an orthogonal matrix built from the
+    eigenvectors of the Hermitian ``i K``; the same orthogonal matrix then
+    block-diagonalizes both half powers of ``P``, and a diagonal rescaling
+    symplectifies it.
     """
-    from scipy.linalg import schur
-
     P = sym_part(np.asarray(P, dtype=float), "normal form input")
     n = P.shape[0]
     d = n // 2
@@ -639,7 +657,13 @@ def _williamson(P, tol=1e-9):
 
     K = Pinvroot @ J @ Pinvroot
     K = (K - K.T) / 2
-    T, Zs = schur(K, output="real")
+    # an eigenvector a + ib of i K for the eigenvalue kappa > 0 has
+    # K a = kappa b and K b = -kappa a, and is orthogonal to its conjugate
+    # (eigenvalue -kappa), so |a| = |b| and a . b = 0: sqrt(2) (a, b) is an
+    # orthonormal real pair spanning one 2x2 block
+    E = np.linalg.eigh(1j * K)[1][:, d:]
+    Zs = np.sqrt(2) * np.stack([E.real, E.imag], axis=2).reshape(n, n)
+    T = Zs.T @ K @ Zs
     # rotate each 2x2 block [[0, t], [-t, 0]] to have t > 0 by swapping the
     # corresponding column pair
     for j in range(0, n, 2):

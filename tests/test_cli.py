@@ -11,9 +11,11 @@ from click.testing import CliRunner
 
 from metaplectic import formats as F
 from metaplectic.cli import main
-from metaplectic.evoprop import heat_hamiltonian
+from metaplectic.evoprop import (EVOLVE_COLUMNS, heat_hamiltonian,
+                                 hermite_hamiltonian, propagator_matrix)
 from metaplectic.gausscalc import GaussianState
-from metaplectic.sympcore import chirp, fourier, multiplier, rescale, word_to_matrix
+from metaplectic.sympcore import (chirp, fourier, matrix_polar, multiplier,
+                                  rescale, word_to_matrix)
 from metaplectic.tfrzoo import build_covariant
 
 
@@ -260,8 +262,8 @@ def test_evolve_example_json(runner):
 
 
 def test_evolve_hermite_defaults_record_nan_cells(runner):
-    # past t = 1.6 the realness gate may reject the polar factor; those cells
-    # become NaN while the exact L^2 column stays finite
+    # a row whose polar split fails gets NaN in the polar and bound cells,
+    # while the exact L^2 column stays finite
     r = runner.invoke(main, ["evolve", "--example", "hermite", "--format", "json"])
     assert r.exit_code == 0
     rows = json.loads(r.output)
@@ -280,6 +282,21 @@ def test_evolve_hermite_defaults_bounds_finite(runner):
     assert all(row in finite for row in rows if row["t"] <= 1.6 + 1e-12)
     assert len(finite) >= 17
     assert all(row["bound_combined"] >= row["l2_ratio"] for row in finite)
+
+
+def test_evolve_hermite_defaults_all_rows_finite(runner):
+    # the real polar iteration leaves nothing complex to reject, up to
+    # cond S about 1e11 at t = 2; its real factor is the rotation exp(2 pi t J)
+    r = runner.invoke(main, ["evolve", "--example", "hermite", "--format", "json"])
+    assert r.exit_code == 0
+    rows = json.loads(r.output)
+    assert len(rows) == 20
+    assert all(np.isfinite(row[c]) for row in rows for c in EVOLVE_COLUMNS)
+    H = hermite_hamiltonian(1.0, 1.0, 1)
+    for row in rows:
+        U = matrix_polar(propagator_matrix(H, row["t"])).U
+        c, s = np.cos(2 * np.pi * row["t"]), np.sin(2 * np.pi * row["t"])
+        assert np.linalg.norm(U - np.array([[c, s], [-s, c]])) <= 1e-12
 
 
 def test_evolve_hamiltonian_file(runner, files):

@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg as sla
 
 from metaplectic.errors import UnsupportedShape, ValidationError
-from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian,
+from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian, _expm,
                                  c_weight, combined_bound, cone_profile,
                                  evolve_trajectory, hamilton_map,
                                  harmonic_flow, harmonic_hamiltonian,
@@ -31,6 +31,31 @@ def test_hamiltonian_validation():
         QuadraticHamiltonian(1, -np.eye(2))
     with pytest.raises(ValidationError):
         QuadraticHamiltonian(0, np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: heat_hamiltonian(1.0, 1.0, -1),
+    lambda: hermite_hamiltonian(1.0, 0.0, 0),
+    lambda: harmonic_hamiltonian(-1, 1),
+    lambda: harmonic_hamiltonian(0, 0),
+], ids=["heat-negative", "hermite-zero", "harmonic-negative", "harmonic-empty"])
+def test_example_hamiltonians_validate_dimension(make):
+    with pytest.raises(ValidationError, match="dimension"):
+        make()
+
+
+def test_expm_matches_scipy():
+    rng = np.random.default_rng(5)
+    flows = [heat_hamiltonian(1.0, 1.0, d) for d in (1, 3)]  # nilpotent generators
+    for _ in range(30):
+        d = int(rng.integers(1, 4))
+        G = rng.normal(size=(2 * d, 2 * d))
+        N = rng.normal(size=(2 * d, 2 * d))
+        flows.append(QuadraticHamiltonian(d, G @ G.T / (2 * d) + 0.5j * (N + N.T)))
+    for H in flows:
+        A = -2j * rng.uniform(0.0, 2.0) * hamilton_map(H)
+        want = sla.expm(A)
+        assert np.linalg.norm(_expm(A) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_hamilton_map_and_flow_symplectic():

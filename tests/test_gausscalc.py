@@ -22,6 +22,14 @@ def test_standard_gaussian_norm():
     assert abs(norm(standard_gaussian(3)) - 2.0 ** -0.75) < 1e-14
 
 
+def test_huge_chirp_applies_without_overflow():
+    # the chirp adds its parameter to Q; a huge finite one must neither
+    # overflow the symmetrization nor fail the state's decay check
+    big = 1e308 + 1e308j
+    g = apply_word([chirp([[big]])], GaussianState(1, 1.0, [[0.2 + 0.8j]], [0.3]))
+    assert g.Q[0, 0] == big and g.c == 1.0
+
+
 def test_gaussian_integral_principal_branch():
     val = gaussian_integral(np.array([[1.0 - 1.0j]]), np.zeros(1))
     assert abs(val - (0.77688698701501865 + 0.32179712645279131j)) < 1e-15

@@ -62,10 +62,12 @@ WORD = ('{"d": 1, "tokens": [{"op": "fourier"}, {"op": "atom_r", "theta": [0.5]}
         '{"op": "rescale", "E": {"d": 1, "rows": [[[-2, 0]]]}, "maslov": 1}]}')
 
 
-@pytest.mark.parametrize("command", ["classify", "polar", "gaussian-apply", "gaussian-wigner"])
+@pytest.mark.parametrize("command", ["classify", "polar", "gaussian-apply", "gaussian-wigner",
+                                     "evolve-heat", "evolve-hermite"])
 def test_classify_loads_no_scipy(tmp_path, command):
     # scipy is imported inside the functions that call it; a cold classify,
-    # polar split, word action or Wigner transform pays nothing for it
+    # polar split, word action, Wigner transform or flow (numpy expm, eigh
+    # normal form) pays nothing for it
     matrix = tmp_path / "matrix.json"
     matrix.write_text('{"d": 1, "rows": [[[0, 0], [1, 0]], [[-1, 0], [0.5, 0]]]}')
     state, word = tmp_path / "state.json", tmp_path / "word.json"
@@ -77,25 +79,20 @@ def test_classify_loads_no_scipy(tmp_path, command):
         "polar": ["polar", "--matrix", str(matrix)],
         "gaussian-apply": ["gaussian", "apply", "--word", str(word), "--state", str(state)],
         "gaussian-wigner": ["gaussian", "wigner", "--state", str(state)],
+        "evolve-heat": ["evolve", "--example", "heat"],
+        "evolve-hermite": ["evolve", "--example", "hermite"],
     }[command]
     code, err, loaded = _cold_run(args + ["--out", str(out)], "scipy")
     assert code == 0, err
-    report = json.loads(out.read_text())
-    if command == "classify":
-        assert report["class"] == "Real"
-    elif command == "polar":
-        assert report["residual"] <= 1e-12
+    if command.startswith("evolve"):
+        # header and one CSV row per default time step
+        assert len(out.read_text().splitlines()) == 21
     else:
-        assert report["d"] == (2 if command == "gaussian-wigner" else 1)
-    assert loaded == "[]"
-
-
-def test_evolve_loads_no_scipy_sparse(tmp_path):
-    # the atomic form reads the parameters off J Im Z; no matrix logarithm
-    # pulls in scipy.sparse
-    out = tmp_path / "rows.csv"
-    code, err, loaded = _cold_run(["evolve", "--example", "hermite", "--out", str(out)],
-                                  "scipy.sparse")
-    assert code == 0, err
-    assert len(out.read_text().splitlines()) == 21
+        report = json.loads(out.read_text())
+        if command == "classify":
+            assert report["class"] == "Real"
+        elif command == "polar":
+            assert report["residual"] <= 1e-12
+        else:
+            assert report["d"] == (2 if command == "gaussian-wigner" else 1)
     assert loaded == "[]"

@@ -13,9 +13,9 @@ from metaplectic.sympcore import (atom_matrix, atom_p, atom_r, atomic_decompose,
                                   is_symplectic, matrix_polar, multiplier,
                                   omega, positivity_matrix, pseudo_inverse,
                                   random_word, rescale, require_symplectic,
-                                  schur_psd_test, sharp, symplectic_svd,
-                                  tensor_interleave, tilde, tilde_word,
-                                  token_matrix, word_to_matrix)
+                                  schur_psd_test, sharp, sym_part,
+                                  symplectic_svd, tensor_interleave, tilde,
+                                  tilde_word, token_matrix, word_to_matrix)
 
 
 def rand_word_matrix(seed, d=2, max_len=6):
@@ -101,6 +101,17 @@ def test_tensor_interleave_block_structure():
     assert np.allclose(B[0, 0], b1[0, 0])
 
 
+def test_tensor_interleave_is_permuted_direct_sum():
+    # the joint stacked coordinates (x1, x2, xi1, xi2) permute the
+    # coordinates (x1, xi1, x2, xi2) on which the sum is block diagonal
+    from scipy.linalg import block_diag
+
+    S1, S2 = rand_word_matrix(3, d=2), rand_word_matrix(4, d=1)
+    perm = [0, 1, 4, 2, 3, 5]  # joint slot -> slot in (x1, xi1, x2, xi2)
+    want = block_diag(S1, S2)[np.ix_(perm, perm)]
+    assert np.array_equal(tensor_interleave(S1, S2), want)
+
+
 # ------------------------------------------------------------------- tokens
 
 def test_token_matrices_symplectic():
@@ -111,6 +122,19 @@ def test_token_matrices_symplectic():
             multiplier(-1j * np.eye(2)), atom_r([0.3, 0.0]), atom_p([0.0, 0.7])]
     for t in toks:
         assert is_symplectic(token_matrix(t)), t.op
+
+
+def test_huge_finite_parameters_symmetrize_without_overflow():
+    # runs under the suite's error::RuntimeWarning filter: neither the
+    # defect norms nor the symmetrization may overflow
+    big = 1e308 + 1e308j
+    assert token_matrix(chirp([[big]]))[1, 0] == big
+    M = np.array([[1e308, 1.7e308], [1.7e308, -1e308]])
+    assert np.array_equal(sym_part(M, "M"), M)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        sym_part(np.array([[1e308, 1.7e308], [-1.7e308, 1e308]]), "M")
+    with pytest.raises(ValidationError, match="imaginary part"):
+        chirp([[1e308 - 1e308j]])
 
 
 def test_chirp_requires_symmetric():
@@ -273,6 +297,19 @@ def test_matrix_polar_structure():
         ev = np.linalg.eigvals(pol.Z)
         assert np.max(np.abs(ev.imag)) <= 1e-8
         assert np.min(ev.real) > 0
+
+
+def test_matrix_polar_singular_iterate_is_decomposition_error(monkeypatch):
+    # a singular real part stops the real iteration with the documented
+    # error class, not numpy's LinAlgError
+    S = word_to_matrix([chirp([[0.3 + 0.5j]]), fourier(1)])
+
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(DecompositionError, match="singular"):
+        matrix_polar(S)
 
 
 def test_atomic_decompose_identity():
