@@ -80,11 +80,6 @@ def _out_option(fn):
                         help="Output file, or '-' for stdout.")(fn)
 
 
-def _tol_option(fn):
-    return click.option("--tol", type=float, default=1e-10, show_default=True,
-                        help="Relative tolerance for structural tests.")(fn)
-
-
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="metaplectic")
 def main():
@@ -103,18 +98,17 @@ def main():
               default="positivity", show_default=True,
               help="Eigenvalue certificate, block-triangular clauses, or "
                    "conjugation-symmetric clauses with word synthesis.")
-@_tol_option
 @_out_option
 @_guarded
-def classify(matrix_path, mode, tol, out):
+def classify(matrix_path, mode, out):
     """Classify a matrix against the positive symplectic cone."""
     _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
     if mode == "positivity":
-        payload = sympcore.classify_positivity(S, tol=tol).to_dict()
+        payload = sympcore.classify_positivity(S).to_dict()
     elif mode == "triangular":
-        payload = sympcore.classify_block_triangular(S, tol=tol)
+        payload = sympcore.classify_block_triangular(S)
     else:
-        payload = sympcore.classify_conjugation_commuting(S, tol=tol)
+        payload = sympcore.classify_conjugation_commuting(S)
         if payload.get("word") is not None:
             payload["word"] = formats.dump_word(payload["word"])
     _emit_json(out, payload)
@@ -123,13 +117,12 @@ def classify(matrix_path, mode, tol, out):
 @main.command()
 @click.option("--matrix", "matrix_path", required=True,
               help="Positive symplectic matrix JSON (file or '-').")
-@_tol_option
 @_out_option
 @_guarded
-def polar(matrix_path, tol, out):
+def polar(matrix_path, out):
     """Split a positive matrix into real and exponential-type factors."""
     d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
-    pol = sympcore.matrix_polar(S, tol=tol)
+    pol = sympcore.matrix_polar(S)
     dd = pol.U.shape[0] // 2
     _emit_json(out, {
         "U": formats.dump_matrix(pol.U, dd),
@@ -171,10 +164,9 @@ def _dump_state_or_sum(f):
               help="Samples per axis for csv/bin output.")
 @click.option("--grid-h", type=float, default=None,
               help="Grid spacing for csv/bin output (default: self-dual 1/sqrt(n)).")
-@_tol_option
 @_out_option
 @_guarded
-def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, tol, out):
+def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out):
     """Apply a word (or a positive matrix) to a Gaussian state."""
     f = _load_state_or_sum(_read_json(state_path, "state"), "state")
     if (word_path is None) == (matrix_path is None):
@@ -184,7 +176,7 @@ def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, tol,
         g = gausscalc.apply_word(word, f)
     else:
         _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
-        g = gausscalc.apply_matrix(S, f, tol=tol)
+        g = gausscalc.apply_matrix(S, f)
     if fmt == "json":
         _emit_json(out, _dump_state_or_sum(g))
         return
@@ -243,10 +235,9 @@ def tfr():
 @tfr.command("classify")
 @click.option("--tfr", "tfr_path", required=True,
               help="Representation spec JSON (file or '-').")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
 @_out_option
 @_guarded
-def tfr_classify(tfr_path, tol, out):
+def tfr_classify(tfr_path, out):
     """Full structural report: covariance, symmetry, spectrogram windows."""
     spec = formats.load_tfrspec(_read_json(tfr_path, "representation spec"))
     covariant, clauses = tfrzoo.is_covariant(spec)
@@ -254,7 +245,7 @@ def tfr_classify(tfr_path, tol, out):
     if covariant:
         payload["conjugation_symmetric"] = tfrzoo.conjugation_symmetric(spec)
         try:
-            rep = tfrzoo.classify_spectrogram(spec, tol=tol)
+            rep = tfrzoo.classify_spectrogram(spec)
             rep = dict(rep)
             for key in ("window_f", "window_g"):
                 if rep.get(key) is not None:
@@ -265,7 +256,7 @@ def tfr_classify(tfr_path, tol, out):
         except NumericalError as e:
             payload["spectrogram"] = {"spectrogram": False, "note": str(e)}
         try:
-            pure = dict(tfrzoo.classify_pure_spectrogram(spec, tol=tol))
+            pure = dict(tfrzoo.classify_pure_spectrogram(spec))
             if pure.get("window") is not None:
                 pure["window"] = formats.dump_state(pure["window"])
             payload["pure_spectrogram"] = pure
@@ -293,13 +284,12 @@ def tfr_kernel(tfr_path, out):
 @tfr.command("windows")
 @click.option("--tfr", "tfr_path", required=True,
               help="Representation spec JSON (file or '-').")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
 @_out_option
 @_guarded
-def tfr_windows(tfr_path, tol, out):
+def tfr_windows(tfr_path, out):
     """Window pair of a spectrogram-type representation."""
     spec = formats.load_tfrspec(_read_json(tfr_path, "representation spec"))
-    rep = tfrzoo.classify_spectrogram(spec, tol=tol)
+    rep = tfrzoo.classify_spectrogram(spec)
     if not rep["spectrogram"]:
         raise ValidationError(f"representation is not a spectrogram: {rep['clauses']}")
     _emit_json(out, {

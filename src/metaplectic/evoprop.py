@@ -153,7 +153,7 @@ def _sigma_slots(theta, delta):
     return np.r_[sx, sxi]
 
 
-def weyl_symbol_Z(Z, tol=1e-9):
+def weyl_symbol_Z(Z):
     """Weyl symbol of the exponential-type factor, as a Gaussian on the
     doubled phase space.
 
@@ -164,7 +164,7 @@ def weyl_symbol_Z(Z, tol=1e-9):
     Gaussian state with ``Q = i V^T Sigma V`` (degenerate directions
     allowed: the symbol need not decay along them).
     """
-    return _weyl_symbol(*atomic_decompose(Z, tol))
+    return _weyl_symbol(*atomic_decompose(Z))
 
 
 def _weyl_symbol(V, theta, delta):
@@ -177,7 +177,7 @@ def _weyl_symbol(V, theta, delta):
     return GaussianState(2 * d, c, Q, np.zeros(2 * d), allow_degenerate=True)
 
 
-def weyl_pairing(Z, f, g, tol=1e-9):
+def weyl_pairing(Z, f, g):
     """Both sides of the defining pairing ``<a, W(g, f)> = <Z_hat f, g>``.
 
     The right-hand side is evaluated through the normal form,
@@ -186,7 +186,7 @@ def weyl_pairing(Z, f, g, tol=1e-9):
     one operator for the frame, so its sign cancels between the two slots.
     Returns ``(lhs, rhs)``.
     """
-    V, theta, delta = atomic_decompose(Z, tol)
+    V, theta, delta = atomic_decompose(Z)
     lhs = inner_product(_weyl_symbol(V, theta, delta), wigner_gaussian(g, f))
     fV = apply_matrix(V, f)
     rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), apply_matrix(V, g))
@@ -323,7 +323,8 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
     exact L^2 growth of the standard Gaussian under the propagator, and (in
     dimension one) the discrete modulation-norm growth on a self-dual grid.
     Quantities whose decomposition degenerates at some time are reported as
-    NaN for that time rather than aborting the sweep.
+    NaN for that time rather than aborting the sweep; a time whose flow
+    matrix fails the symplectic check is a row of NaN.
     """
     qq = p if q is None else q
     phi = standard_gaussian(H.d)
@@ -335,7 +336,11 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
         base = discrete_modnorm(f0, f0, p=p, q=qq, s=s)
     rows = []
     for t in times:
-        S = propagator_matrix(H, float(t))
+        try:
+            S = propagator_matrix(H, float(t))
+        except ValidationError:
+            rows.append({"t": float(t), **dict.fromkeys(EVOLVE_COLUMNS[1:], float("nan"))})
+            continue
         rep = classify_positivity(S)
         row = {
             "t": float(t),

@@ -224,7 +224,7 @@ def apply_word(word, f):
     return f
 
 
-def apply_matrix(S, f, tol=1e-10):
+def apply_matrix(S, f):
     """Closed-form action of the operator of a positive symplectic ``S``.
 
     For ``f`` with parameters ``(Q, b, c)`` and ``S = [[A, B], [C, D]]``:
@@ -243,7 +243,7 @@ def apply_matrix(S, f, tol=1e-10):
     ``b``).
     """
     if isinstance(f, list):
-        return [apply_matrix(S, g, tol) for g in f]
+        return [apply_matrix(S, g) for g in f]
     S = np.asarray(S, dtype=complex)
     A, B, C, D = blocks(S)
     d = f.d
@@ -255,7 +255,7 @@ def apply_matrix(S, f, tol=1e-10):
         lam = np.linalg.eigvals(np.linalg.solve(T0, T))
     except np.linalg.LinAlgError:
         raise DecompositionError("matrix action is singular on the ground state")
-    if np.min(np.abs(lam)) < tol * max(1.0, float(np.max(np.abs(lam)))):
+    if np.min(np.abs(lam)) < 1e-10 * max(1.0, float(np.max(np.abs(lam)))):
         raise DecompositionError("matrix action is singular on this state")
     Qp = np.linalg.solve(T.T, (C + D @ f.Q).T).T
     Qp = Qp / 2 + Qp.T / 2

@@ -106,16 +106,14 @@ def from_blocks(A, B, C, D):
     return np.block([[np.asarray(A), np.asarray(B)], [np.asarray(C), np.asarray(D)]])
 
 
-def is_symplectic(S, tol=1e-10):
+def is_symplectic(S):
     """Test ``S^T J S = J`` in relative Frobenius norm.
 
     Parameters
     ----------
     S : (2d, 2d) array_like
-        Matrix to test.
-    tol : float
-        Relative tolerance; the defect is compared against
-        ``tol * max(1, ||S||_F^2)`` since the defect is quadratic in S.
+        Matrix to test.  The defect is compared against
+        ``1e-10 * max(1, ||S||_F^2)``, since it is quadratic in S.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
@@ -128,13 +126,13 @@ def is_symplectic(S, tol=1e-10):
         defect = np.linalg.norm(S.T @ J @ S - J)
         scale = np.linalg.norm(S) ** 2
     return bool(np.isfinite(defect) and np.isfinite(scale)
-                and defect <= tol * max(1.0, scale))
+                and defect <= 1e-10 * max(1.0, scale))
 
 
-def require_symplectic(S, tol=1e-10, what="matrix"):
+def require_symplectic(S, what="matrix"):
     S = np.asarray(S, dtype=complex)
-    if not is_symplectic(S, tol):
-        raise ValidationError(f"{what} is not symplectic within tolerance {tol}")
+    if not is_symplectic(S):
+        raise ValidationError(f"{what} is not symplectic within tolerance 1e-10")
     return S
 
 
@@ -218,7 +216,7 @@ class PositivityReport:
     ``klass`` is one of ``NotSymplectic``, ``Real``, ``StrictlyPositive``,
     ``Positive``, ``NotPositive``.  ``min_eigenvalue`` is the smallest
     eigenvalue of the certificate matrix (``None`` when not symplectic) and
-    ``margin`` the decision threshold ``tol * ||M||_2`` it was compared to.
+    ``margin`` the decision threshold ``1e-9 * ||M||_2`` it was compared to.
     """
 
     klass: str
@@ -233,13 +231,13 @@ class PositivityReport:
         return {"class": self.klass, "min_eigenvalue": self.min_eigenvalue}
 
 
-def classify_positivity(S, tol=1e-9):
+def classify_positivity(S):
     """Classify ``S`` against the positive cone.
 
-    The order of checks: symplecticity; exact realness (real symplectic
-    matrices have a vanishing certificate and unitary quantization); then the
-    sign of the smallest certificate eigenvalue with relative margin
-    ``tol * ||M||_2``.
+    The order of checks: symplecticity; realness (``||Im S|| <= 1e-9 ||S||``;
+    real symplectic matrices have a vanishing certificate and unitary
+    quantization); then the sign of the smallest certificate eigenvalue with
+    relative margin ``1e-9 * ||M||_2``.
     """
     S = np.asarray(S, dtype=complex)
     if not is_symplectic(S):
@@ -248,8 +246,8 @@ def classify_positivity(S, tol=1e-9):
     M = positivity_matrix(S)
     w = np.linalg.eigvalsh(M)
     mn = float(w[0])
-    margin = tol * float(np.max(np.abs(w))) if w.size else 0.0
-    if np.linalg.norm(S.imag) <= tol * normS:
+    margin = 1e-9 * float(np.max(np.abs(w))) if w.size else 0.0
+    if np.linalg.norm(S.imag) <= 1e-9 * normS:
         return PositivityReport("Real", mn, margin)
     if mn > margin:
         return PositivityReport("StrictlyPositive", mn, margin)
@@ -258,12 +256,12 @@ def classify_positivity(S, tol=1e-9):
     return PositivityReport("NotPositive", mn, margin)
 
 
-def pseudo_inverse(A, tol=1e-12):
-    """Moore-Penrose inverse with singular values below ``tol * sigma_max`` dropped."""
-    return np.linalg.pinv(np.asarray(A, dtype=complex), rcond=tol)
+def pseudo_inverse(A):
+    """Moore-Penrose inverse with singular values below ``1e-12 * sigma_max`` dropped."""
+    return np.linalg.pinv(np.asarray(A, dtype=complex), rcond=1e-12)
 
 
-def schur_psd_test(M, tol=1e-10):
+def schur_psd_test(M):
     """Certify positive semidefiniteness of symmetric ``M`` blockwise.
 
     Partition ``M = [[P, Q], [Q^T, R]]`` at the midpoint.  ``M >= 0`` iff
@@ -290,18 +288,18 @@ def schur_psd_test(M, tol=1e-10):
     scale = max(1.0, float(np.linalg.norm(M, 2)))
 
     wP = np.linalg.eigvalsh((P + P.T) / 2)
-    block_psd = bool(wP[0] >= -tol * scale)
+    block_psd = bool(wP[0] >= -1e-10 * scale)
 
-    Pp = np.linalg.pinv(P, rcond=max(tol, 1e-13))
-    range_ok = bool(np.linalg.norm(Q - P @ Pp @ Q) <= np.sqrt(tol) * scale)
+    Pp = np.linalg.pinv(P, rcond=1e-10)
+    range_ok = bool(np.linalg.norm(Q - P @ Pp @ Q) <= 1e-5 * scale)
 
     Sc = R - Q.T @ Pp @ Q
     wS = np.linalg.eigvalsh((Sc + Sc.T) / 2)
-    schur_ok = bool(wS[0] >= -tol * scale)
+    schur_ok = bool(wS[0] >= -1e-10 * scale)
 
     verdict = block_psd and range_ok and schur_ok
     w = np.linalg.eigvalsh(M)
-    direct = bool(w[0] >= -tol * scale)
+    direct = bool(w[0] >= -1e-10 * scale)
     cert = {
         "psd": verdict,
         "block_psd": block_psd,
@@ -407,18 +405,18 @@ def fourier(d):
     return Token("fourier", int(d))
 
 
-def chirp(Q, tol=1e-10):
+def chirp(Q):
     """Multiplication by ``exp(i pi Q x . x)``; requires ``Im Q >= 0``."""
     Q = sym_part(_matrix_param(Q, "chirp parameter"), "chirp parameter")
-    if not semidefinite(Q.imag, tol):
+    if not semidefinite(Q.imag, 1e-10):
         raise ValidationError("chirp parameter needs positive semidefinite imaginary part")
     return Token("chirp", Q.shape[0], mat=_freeze(Q))
 
 
-def rescale(E, maslov=0, tol=1e-10):
+def rescale(E, maslov=0):
     """Dilation ``f -> i^maslov |det E|^{1/2} f(E x)``; E real invertible."""
     E = _matrix_param(E, "rescale matrix")
-    real, invertible = _real_invertible(E, tol)
+    real, invertible = _real_invertible(E, 1e-10)
     if not real:
         raise ValidationError("rescale matrix must be real")
     E = E.real
@@ -427,11 +425,11 @@ def rescale(E, maslov=0, tol=1e-10):
     return Token("rescale", E.shape[0], mat=_freeze(E), maslov=int(maslov) % 4)
 
 
-def multiplier(P, tol=1e-10):
+def multiplier(P):
     """Fourier-side chirp: multiplies the transform by ``exp(-i pi P xi . xi)``;
     requires ``Im P <= 0``."""
     P = sym_part(_matrix_param(P, "multiplier parameter"), "multiplier parameter")
-    if not semidefinite(-P.imag, tol):
+    if not semidefinite(-P.imag, 1e-10):
         raise ValidationError("multiplier parameter needs negative semidefinite imaginary part")
     return Token("multiplier", P.shape[0], mat=_freeze(P))
 
@@ -531,7 +529,7 @@ def tilde_word(word):
     return out
 
 
-def atom_matrix(theta, delta, tol=1e-12):
+def atom_matrix(theta, delta):
     """Matrix of the combined atom with disjointly supported parameters.
 
     ``theta`` and ``delta`` are nonnegative vectors with ``theta_j delta_j = 0``;
@@ -541,7 +539,7 @@ def atom_matrix(theta, delta, tol=1e-12):
     de = _atom_vec(delta, "atom")
     if th.size != de.size:
         raise ValidationError("theta and delta must have equal length")
-    if np.any(th * de > tol):
+    if np.any(th * de > 1e-12):
         raise ValidationError("theta and delta must have disjoint supports")
     return token_matrix(atom_r(th)) @ token_matrix(atom_p(de))
 
@@ -577,7 +575,7 @@ class PolarDecomposition:
     residual: float
 
 
-def matrix_polar(S, tol=1e-9):
+def matrix_polar(S):
     """Polar factorization of a positive symplectic matrix.
 
     ``sharp`` is the adjoint for the form ``x^* J y``, so ``S = U Z`` is the
@@ -629,12 +627,12 @@ def matrix_polar(S, tol=1e-9):
         raise DecompositionError("real factor of the polar decomposition is not symplectic")
     Z = sharp(U) @ S
     residual = float(np.linalg.norm(S - U @ Z) / max(1e-300, np.linalg.norm(S)))
-    if residual > max(100 * tol, 1e-7):
+    if residual > 1e-7:
         raise DecompositionError(f"polar residual {residual:.2e} exceeds tolerance")
     return PolarDecomposition(U, Z, residual)
 
 
-def _williamson(P, tol=1e-9):
+def _williamson(P):
     """Normal form of a symmetric positive definite ``P``: returns
     ``(lam, V)`` with ``V`` real symplectic, ``lam`` descending, and
     ``P = V^T diag(lam, lam) V``.
@@ -660,18 +658,13 @@ def _williamson(P, tol=1e-9):
     # an eigenvector a + ib of i K for the eigenvalue kappa > 0 has
     # K a = kappa b and K b = -kappa a, and is orthogonal to its conjugate
     # (eigenvalue -kappa), so |a| = |b| and a . b = 0: sqrt(2) (a, b) is an
-    # orthonormal real pair spanning one 2x2 block
+    # orthonormal real pair spanning one 2x2 block; ordered (b, a), the block
+    # is [[0, kappa], [-kappa, 0]] with kappa > 0
     E = np.linalg.eigh(1j * K)[1][:, d:]
-    Zs = np.sqrt(2) * np.stack([E.real, E.imag], axis=2).reshape(n, n)
-    T = Zs.T @ K @ Zs
-    # rotate each 2x2 block [[0, t], [-t, 0]] to have t > 0 by swapping the
-    # corresponding column pair
-    for j in range(0, n, 2):
-        if T[j, j + 1] < 0:
-            Zs[:, [j, j + 1]] = Zs[:, [j + 1, j]]
+    Zs = np.sqrt(2) * np.stack([E.imag, E.real], axis=2).reshape(n, n)
     T = Zs.T @ K @ Zs
     kappa = np.array([T[j, j + 1] for j in range(0, n, 2)])
-    if np.any(kappa <= tol * max(1.0, float(np.max(np.abs(kappa))))):
+    if np.any(kappa <= 1e-9 * max(1.0, float(np.max(np.abs(kappa))))):
         raise DecompositionError("normal form pairing degenerated")
     lam = 1.0 / kappa
 
@@ -687,14 +680,14 @@ def _williamson(P, tol=1e-9):
     V = V[np.r_[order, order + d], :]
 
     scale = max(1.0, float(np.linalg.norm(P)))
-    if np.linalg.norm(V.T @ np.diag(np.r_[lam, lam]) @ V - P) > max(1e3 * tol, 1e-8) * scale:
+    if np.linalg.norm(V.T @ np.diag(np.r_[lam, lam]) @ V - P) > 1e-6 * scale:
         raise DecompositionError("normal form reconstruction failed")
-    if np.linalg.norm(V @ J @ V.T - J) > max(1e3 * tol, 1e-8) * max(1.0, np.linalg.norm(V) ** 2):
+    if np.linalg.norm(V @ J @ V.T - J) > 1e-6 * max(1.0, np.linalg.norm(V) ** 2):
         raise DecompositionError("normal form produced a non-symplectic frame")
     return lam, V
 
 
-def atomic_decompose(Z, tol=1e-9):
+def atomic_decompose(Z):
     """Atomic normal form of an exponential-type factor.
 
     Writes ``Z = V^{-1} Xi V`` with ``Xi = atom_matrix(theta, delta)`` and
@@ -729,12 +722,12 @@ def atomic_decompose(Z, tol=1e-9):
 
     w = np.linalg.eigvalsh(P)
     scaleP = float(np.max(np.abs(w))) if w.size else 0.0
-    if scaleP <= tol * max(1.0, np.linalg.norm(Z)):
+    if scaleP <= 1e-9 * max(1.0, np.linalg.norm(Z)):
         V, theta, delta = np.eye(n), np.zeros(d), np.zeros(d)
-    elif w[0] < -tol * scaleP:
+    elif w[0] < -1e-9 * scaleP:
         raise DecompositionError("J Im Z is not positive semidefinite")
-    elif w[0] > tol * scaleP:
-        lam, V = _williamson(P, tol)
+    elif w[0] > 1e-9 * scaleP:
+        lam, V = _williamson(P)
         theta, delta = np.arcsinh(lam), np.zeros(d)
     elif d == 1:
         # rank-one form: P = kappa u u^T gives a pure shear atom in the
@@ -748,12 +741,12 @@ def atomic_decompose(Z, tol=1e-9):
             "a singular form J Im Z is only supported in dimension one")
 
     back = np.linalg.inv(V) @ atom_matrix(theta, delta) @ V
-    if np.linalg.norm(back - Z) > max(1e4 * tol, 1e-6) * max(1.0, np.linalg.norm(Z)):
+    if np.linalg.norm(back - Z) > 1e-5 * max(1.0, np.linalg.norm(Z)):
         raise DecompositionError("atomic reconstruction failed its residual check")
     return V, theta, delta
 
 
-def symplectic_svd(U, tol=1e-9):
+def symplectic_svd(U):
     """Singular value decomposition within the real symplectic group.
 
     For real symplectic ``U`` returns ``(W, sigma, V)`` with ``W, V``
@@ -775,12 +768,12 @@ def symplectic_svd(U, tol=1e-9):
     w, Q = np.linalg.eigh((G + G.T) / 2)
     if w[0] <= 0:
         raise DecompositionError("Gram matrix is not positive definite")
-    L = (Q * (0.5 * np.log(w))) @ Q.T
-    mu, E = np.linalg.eigh(L)
+    # L has the eigenvectors Q and the ascending eigenvalues log(w)/2
+    mu, E = 0.5 * np.log(w), Q
     scale = max(1.0, float(np.max(np.abs(mu))))
 
-    pos = [i for i in range(n) if mu[i] > tol * scale][::-1]      # descending
-    ker = [i for i in range(n) if abs(mu[i]) <= tol * scale]
+    pos = [i for i in range(n) if mu[i] > 1e-9 * scale][::-1]      # descending
+    ker = [i for i in range(n) if abs(mu[i]) <= 1e-9 * scale]
     if len(pos) + len(ker) // 2 != d or len(ker) % 2:
         raise DecompositionError("eigenvalue pairing of the symplectic SVD failed")
 
@@ -808,10 +801,10 @@ def symplectic_svd(U, tol=1e-9):
     W = U @ Om * Dinv[None, :]
 
     recon = (W * np.r_[sig, 1.0 / sig][None, :]) @ Om.T
-    if np.linalg.norm(recon - U) > max(1e3 * tol, 1e-8) * max(1.0, np.linalg.norm(U)):
+    if np.linalg.norm(recon - U) > 1e-6 * max(1.0, np.linalg.norm(U)):
         raise DecompositionError("symplectic SVD reconstruction failed")
     for F in (W, Om):
-        if np.linalg.norm(F.T @ F - np.eye(n)) > max(1e3 * tol, 1e-8):
+        if np.linalg.norm(F.T @ F - np.eye(n)) > 1e-6:
             raise DecompositionError("symplectic SVD frame is not orthogonal")
     return W, sig, Om
 
@@ -820,7 +813,7 @@ def symplectic_svd(U, tol=1e-9):
 # structural classifiers
 # ----------------------------------------------------------------------------
 
-def classify_block_triangular(S, tol=1e-9):
+def classify_block_triangular(S):
     """Certify positivity of a block-triangular symplectic matrix.
 
     For ``B = 0`` positivity is equivalent to: the diagonal block ``A`` is
@@ -840,8 +833,8 @@ def classify_block_triangular(S, tol=1e-9):
     S = require_symplectic(S)
     A, B, C, D = blocks(S)
     scale = max(1.0, np.linalg.norm(S))
-    b_zero = np.linalg.norm(B) <= tol * scale
-    c_zero = np.linalg.norm(C) <= tol * scale
+    b_zero = np.linalg.norm(B) <= 1e-9 * scale
+    c_zero = np.linalg.norm(C) <= 1e-9 * scale
     if not (b_zero or c_zero):
         raise NotTriangular("neither off-diagonal block vanishes")
 
@@ -854,11 +847,11 @@ def classify_block_triangular(S, tol=1e-9):
         diag, off = D, D.T @ B
         sign = -1
 
-    a_real, a_invertible = _real_invertible(diag, tol)
-    signature_ok = semidefinite(sign * off.imag, tol)
+    a_real, a_invertible = _real_invertible(diag, 1e-9)
+    signature_ok = semidefinite(sign * off.imag, 1e-9)
 
     structural = a_real and a_invertible and signature_ok
-    eigen = classify_positivity(S, tol)
+    eigen = classify_positivity(S)
     report = {
         "shape": shape,
         "positive": structural,
@@ -876,7 +869,7 @@ def classify_block_triangular(S, tol=1e-9):
     return report
 
 
-def classify_conjugation_commuting(S, tol=1e-9):
+def classify_conjugation_commuting(S):
     """Certify positivity of a conjugation-symmetric symplectic matrix and
     synthesize its generator word.
 
@@ -897,16 +890,16 @@ def classify_conjugation_commuting(S, tol=1e-9):
     """
     S = require_symplectic(S)
     scale = max(1.0, np.linalg.norm(S))
-    if np.linalg.norm(S - tilde(S)) > tol * scale:
+    if np.linalg.norm(S - tilde(S)) > 1e-9 * scale:
         raise NotConjugationSymmetric("matrix is not fixed by the conjugation symmetry")
     A, B, C, D = blocks(S)
 
-    a_real, a_invertible = _real_invertible(A, tol)
-    lower_ok = semidefinite((A.T @ C).imag, tol)
-    upper_ok = semidefinite(-(A @ B.T).imag, tol)
+    a_real, a_invertible = _real_invertible(A, 1e-9)
+    lower_ok = semidefinite((A.T @ C).imag, 1e-9)
+    upper_ok = semidefinite(-(A @ B.T).imag, 1e-9)
 
     structural = a_real and a_invertible and lower_ok and upper_ok
-    eigen = classify_positivity(S, tol)
+    eigen = classify_positivity(S)
     report = {
         "conjugation_symmetric": True,
         "positive": structural,
@@ -939,7 +932,7 @@ def random_word(rng, d, max_len=8, scale=0.6):
     """Draw a random generator word inside the positivity domain.
 
     Parameters are kept at moderate scale so that products of up to
-    ``max_len`` factors stay well-conditioned for the default tolerances.
+    ``max_len`` factors stay well-conditioned for the fixed tolerances.
     """
     def sym(M):
         return (M + M.T) / 2

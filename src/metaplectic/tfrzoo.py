@@ -33,6 +33,7 @@ from .sympcore import (
     atom_r,
     chirp,
     classify_positivity,
+    is_symplectic,
     multiplier,
     rescale,
     require_symplectic,
@@ -102,7 +103,7 @@ def _covariant_params(spec):
     return _params(spec.A, spec.d)
 
 
-def build_covariant(A11, A13, A21, tol=1e-10):
+def build_covariant(A11, A13, A21):
     """Assemble the covariant representation with parameter blocks
     ``(A11, A13, A21)`` (``A13``, ``A21`` symmetric, ``Im B <= 0``).
 
@@ -110,11 +111,11 @@ def build_covariant(A11, A13, A21, tol=1e-10):
     transform is ``(I/2, -iI/2, iI/2)``.
     """
     A11 = np.atleast_2d(np.asarray(A11, dtype=complex))
-    A13 = sym_part(np.atleast_2d(np.asarray(A13, dtype=complex)), "A13 parameter", tol)
-    A21 = sym_part(np.atleast_2d(np.asarray(A21, dtype=complex)), "A21 parameter", tol)
+    A13 = sym_part(np.atleast_2d(np.asarray(A13, dtype=complex)), "A13 parameter", tol=1e-10)
+    A21 = sym_part(np.atleast_2d(np.asarray(A21, dtype=complex)), "A21 parameter", tol=1e-10)
     A = _covariant_matrix(A11, A13, A21)
     spec = TFRSpec(A11.shape[0], A)
-    if not semidefinite(-symbol_exponent(spec).imag, tol):
+    if not semidefinite(-symbol_exponent(spec).imag, 1e-10):
         raise ValidationError("symbol exponent needs Im B <= 0; "
                               "this parameter triple is outside the covariant cone")
     require_symplectic(A, what="covariant representation matrix")
@@ -124,7 +125,7 @@ def build_covariant(A11, A13, A21, tol=1e-10):
     return spec
 
 
-def is_covariant(spec, tol=1e-9):
+def is_covariant(spec):
     """Check the covariant block pattern and the symbol sign condition.
 
     Returns ``(bool, clauses)``; the clauses record which structural
@@ -138,14 +139,13 @@ def is_covariant(spec, tol=1e-9):
     scale = max(1.0, np.linalg.norm(A))
     clauses = {
         "blocks_match_pattern": bool(
-            np.linalg.norm(A - _covariant_matrix(A11, A13, A21)) <= tol * scale),
-        "a13_symmetric": bool(np.linalg.norm(A13 - A13.T) <= tol * scale),
-        "a21_symmetric": bool(np.linalg.norm(A21 - A21.T) <= tol * scale),
+            np.linalg.norm(A - _covariant_matrix(A11, A13, A21)) <= 1e-9 * scale),
+        "a13_symmetric": bool(np.linalg.norm(A13 - A13.T) <= 1e-9 * scale),
+        "a21_symmetric": bool(np.linalg.norm(A21 - A21.T) <= 1e-9 * scale),
     }
     if all(clauses.values()):
-        clauses["symbol_signature"] = semidefinite(-symbol_exponent(spec).imag, tol)
-        clauses["symplectic"] = bool(
-            classify_positivity(A).klass != "NotSymplectic")
+        clauses["symbol_signature"] = semidefinite(-symbol_exponent(spec).imag, 1e-9)
+        clauses["symplectic"] = is_symplectic(A)
     else:
         clauses["symbol_signature"] = False
         clauses["symplectic"] = False
@@ -161,7 +161,7 @@ def symbol_exponent(spec):
     return (B + B.T) / 2
 
 
-def cohen_kernel(spec, tol=1e-12):
+def cohen_kernel(spec):
     """Convolution kernel against the Wigner distribution.
 
     * ``B = 0``: point mass (the representation *is* Wigner) --
@@ -175,7 +175,7 @@ def cohen_kernel(spec, tol=1e-12):
     _covariant_params(spec)
     B = symbol_exponent(spec)
     scale = max(1.0, np.linalg.norm(spec.A))
-    if np.linalg.norm(B) <= tol * scale:
+    if np.linalg.norm(B) <= 1e-12 * scale:
         return {"type": "delta"}
     if semidefinite(-B.imag, 1e-10, definite=True):
         Q = np.linalg.inv(B)
@@ -221,7 +221,7 @@ def _principal_sqrt(z):
     return complex(np.sqrt(complex(z)))
 
 
-def classify_spectrogram(spec, tol=1e-8):
+def classify_spectrogram(spec):
     """Decide whether the representation is a cross-spectrogram
     ``A(f, g) = V_phi f * conj(V_psi g)`` and produce the window pair.
 
@@ -252,11 +252,11 @@ def classify_spectrogram(spec, tol=1e-8):
     I = np.eye(d)
     scale = max(1.0, np.linalg.norm(A11), np.linalg.norm(A21), np.linalg.norm(X))
 
-    consistency = np.linalg.norm(A21 + A11.T @ X @ (A11 - I)) <= tol * scale ** 2
+    consistency = np.linalg.norm(A21 + A11.T @ X @ (A11 - I)) <= 1e-8 * scale ** 2
     clauses = {
         "window_consistency": bool(consistency),
-        "window_decay_f": semidefinite((A11.T @ X).imag, tol),
-        "window_decay_g": semidefinite(-(X @ (A11 - I)).imag, tol),
+        "window_decay_f": semidefinite((A11.T @ X).imag, 1e-8),
+        "window_decay_g": semidefinite(-(X @ (A11 - I)).imag, 1e-8),
     }
     report = {"spectrogram": all(clauses.values()), "clauses": clauses,
               "window_f": None, "window_g": None}
@@ -283,7 +283,7 @@ def classify_spectrogram(spec, tol=1e-8):
     return report
 
 
-def classify_pure_spectrogram(spec, tol=1e-8):
+def classify_pure_spectrogram(spec):
     """Decide whether the representation is a genuine spectrogram
     ``|V_phi f|^2`` (both windows equal) and produce the single window.
 
@@ -297,15 +297,15 @@ def classify_pure_spectrogram(spec, tol=1e-8):
     I = np.eye(d)
     scale = max(1.0, np.linalg.norm(A11), np.linalg.norm(A13), np.linalg.norm(A21))
 
-    re_half = np.linalg.norm(A11.real - I / 2) <= tol * scale
-    a13_imag = (np.linalg.norm(A13.real) <= tol * scale) \
+    re_half = np.linalg.norm(A11.real - I / 2) <= 1e-8 * scale
+    a13_imag = (np.linalg.norm(A13.real) <= 1e-8 * scale) \
         and semidefinite(-A13.imag, 0.0, definite=True)
     clauses = {"re_a11_half": bool(re_half), "a13_imaginary": bool(a13_imag)}
     if a13_imag:
         X = np.linalg.inv(A13)
         target = X / 4 + A11.imag.T @ X @ A11.imag
         clauses["a21_consistency"] = bool(
-            np.linalg.norm(A21 - target) <= tol * max(1.0, np.linalg.norm(target)))
+            np.linalg.norm(A21 - target) <= 1e-8 * max(1.0, np.linalg.norm(target)))
     else:
         clauses["a21_consistency"] = False
 
@@ -330,7 +330,7 @@ def classify_pure_spectrogram(spec, tol=1e-8):
 # conjugation symmetry
 # ----------------------------------------------------------------------------
 
-def conjugation_symmetric(spec, tol=1e-9, detail=False):
+def conjugation_symmetric(spec, detail=False):
     """Is ``A(f, f)`` real for every signal, i.e. does the representation
     commute with complex conjugation?
 
@@ -350,11 +350,11 @@ def conjugation_symmetric(spec, tol=1e-9, detail=False):
         s = 1.0 if r < 2 else -1.0
         defect = max(defect, np.linalg.norm(_bl(A, r, 1, d) - s * np.conj(_bl(A, r, 0, d))))
         defect = max(defect, np.linalg.norm(_bl(A, r, 3, d) + s * np.conj(_bl(A, r, 2, d))))
-    pattern = bool(defect <= tol * scale)
+    pattern = bool(defect <= 1e-9 * scale)
 
     O = np.zeros((d, d))
     T = A @ np.linalg.inv(_covariant_matrix(np.eye(d) / 2, O, O))
-    cross = bool(np.linalg.norm(T - tilde(T)) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(T)))
+    cross = bool(np.linalg.norm(T - tilde(T)) <= 1e-9 * max(1.0, np.linalg.norm(T)))
     if pattern != cross:
         raise ModelError("conjugation-symmetry tests disagree")
     if detail:
@@ -403,7 +403,7 @@ def split_to_word(split):
     return list(split.u1) + mid + list(split.u2)
 
 
-def wigner_operator(split, tol=1e-10):
+def wigner_operator(split):
     """Word of the doubled-phase-space operator ``K`` with
     ``K W(f, g) = W(S_hat f, S_hat g)`` (up to one unimodular constant).
 
@@ -420,7 +420,7 @@ def wigner_operator(split, tol=1e-10):
         raise ValidationError("atom parameter vectors must have equal length")
     if np.any(split.theta < 0) or np.any(split.delta < 0):
         raise ValidationError("atom parameters must be nonnegative")
-    if np.any(split.theta * split.delta > tol):
+    if np.any(split.theta * split.delta > 1e-10):
         raise ValidationError("atom parameters must have disjoint supports")
     _require_real_word(split.u1, "the split prefix")
     _require_real_word(split.u2, "the split suffix")

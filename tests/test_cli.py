@@ -14,8 +14,8 @@ from metaplectic.cli import main
 from metaplectic.evoprop import (EVOLVE_COLUMNS, heat_hamiltonian,
                                  hermite_hamiltonian, propagator_matrix)
 from metaplectic.gausscalc import GaussianState
-from metaplectic.sympcore import (chirp, fourier, matrix_polar, multiplier,
-                                  rescale, word_to_matrix)
+from metaplectic.sympcore import (chirp, classify_positivity, fourier, matrix_polar,
+                                  multiplier, rescale, word_to_matrix)
 from metaplectic.tfrzoo import build_covariant
 
 
@@ -109,6 +109,37 @@ def test_overflowing_matrix_is_not_symplectic(runner, tmp_path):
     assert r.exit_code == 0
     assert json.loads(r.output)["class"] == "NotSymplectic"
     assert runner.invoke(main, ["polar", "--matrix", str(path)]).exit_code == 1
+
+
+def test_classify_and_polar_take_the_library_tolerance(runner, tmp_path):
+    # ||Im S|| = 5e-10 lies inside the library's realness margin 1e-9
+    S = np.array([[1, 0], [-5e-10j, 1]])
+    assert classify_positivity(S).klass == "Real"
+    path = tmp_path / "nearly_real.json"
+    path.write_text(F.dumps_json(F.dump_matrix(S, 1)))
+    r = runner.invoke(main, ["classify", "--matrix", str(path)])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["class"] == "Real"
+    r = runner.invoke(main, ["classify", "--matrix", str(path), "--mode", "triangular"])
+    assert r.exit_code == 0
+    rep = json.loads(r.output)
+    assert rep["positive"] is True and rep["eigen_class"] == "Real" and rep["agrees"]
+    r = runner.invoke(main, ["polar", "--matrix", str(path)])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("command", [["classify", "--matrix"], ["polar", "--matrix"],
+                                     ["gaussian", "apply", "--matrix"],
+                                     ["tfr", "classify", "--tfr"], ["tfr", "windows", "--tfr"]])
+def test_no_tolerance_option(runner, files, command):
+    path = files["husimi.json" if command[0] == "tfr" else "matrix.json"]
+    args = command + [path, "--tol", "1e-3"]
+    if command[0] == "gaussian":
+        args += ["--state", files["state.json"]]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert "No such option" in r.output and "--tol" in r.output
 
 
 def test_stray_linalg_error_exits_3(runner, files, monkeypatch):
@@ -297,6 +328,17 @@ def test_evolve_hermite_defaults_all_rows_finite(runner):
         U = matrix_polar(propagator_matrix(H, row["t"])).U
         c, s = np.cos(2 * np.pi * row["t"]), np.sin(2 * np.pi * row["t"])
         assert np.linalg.norm(U - np.array([[c, s], [-s, c]])) <= 1e-12
+
+
+def test_evolve_overflowing_steps_record_nan_rows(runner):
+    # the hermite flow leaves the float range before t = 100: each such step
+    # is a NaN row, and the sweep goes on
+    r = runner.invoke(main, ["evolve", "--example", "hermite", "--t-max", "200",
+                             "--t-steps", "2"])
+    assert r.exit_code == 0, r.output
+    lines = r.output.strip().splitlines()
+    assert lines[0] == ",".join(EVOLVE_COLUMNS)
+    assert lines[1:] == ["100.0" + ",nan" * 8, "200.0" + ",nan" * 8]
 
 
 def test_evolve_hamiltonian_file(runner, files):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-cold commands load no more of scipy than they call."""
+"""Source hygiene: every name a module imports is used in that module, every
+defaulted ``tol`` parameter is passed by some call, and cold commands load
+no more of scipy than they call."""
 import ast
 import json
 import os
@@ -38,6 +39,48 @@ def test_checker_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unpassed_tol_defaults(sources):
+    """Functions with a defaulted ``tol`` parameter that no call in
+    ``sources`` passes, by keyword or by position."""
+    trees = [ast.parse(s) for s in sources]
+    slot = {}  # function name -> positional index of tol (None: keyword only)
+    for node in (n for t in trees for n in ast.walk(t)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first_default = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first_default:], first_default):
+                if arg.arg == "tol":
+                    slot[node.name] = i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if arg.arg == "tol" and default is not None:
+                    slot[node.name] = None
+    passed = set()
+    for node in (n for t in trees for n in ast.walk(t)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in slot and (any(k.arg == "tol" for k in node.keywords)
+                                 or (slot[name] is not None and len(node.args) > slot[name])):
+                passed.add(name)
+    return sorted(set(slot) - passed)
+
+
+def test_checker_flags_unpassed_tol():
+    source = ("def a(x, tol=1): pass\n"
+              "def b(x, tol=1): pass\n"
+              "def c(x, *, tol=1): pass\n"
+              "def d(x, tol): pass\n"
+              "def e(x, tol=1): pass\n"
+              "a(1, 2)\nm.b(1, tol=2)\nc(1, 2)\ne(1)\n")
+    assert unpassed_tol_defaults([source]) == ["c", "e"]
+
+
+def test_every_tol_default_is_passed():
+    # a tolerance no caller sets belongs in the comparison, not the signature
+    assert unpassed_tol_defaults([p.read_text() for p in SRC.glob("*.py")]) == []
 
 
 def _cold_run(args, prefix):
