@@ -11,8 +11,9 @@ two routes can be compared number by number.
 Tokens act on samples:
 
 * chirps multiply pointwise;
-* the Fourier token is an exact centered DFT (the fftshift sandwich
-  evaluates ``sum_k f_k exp(-2 pi i x_k xi_m)`` with no phase residue);
+* the Fourier token is an exact centered DFT, a plain FFT between two
+  sign modulations: for even n, ``sum_k a_k exp(-2 pi i (k-n/2)(m-n/2)/n)
+  = (-1)^{n/2} (-1)^m fft((-1)^k a)[m]``, with no phase residue;
 * a rescale by ``sigma`` is a change of units: the output keeps the
   samples (scaled, and parity-flipped when ``sigma < 0``) on the spacing
   ``h/|sigma|``, so after a rescale a grid is generally not self-dual;
@@ -25,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UnsupportedRescale, ValidationError
 from .gausscalc import eval_state
@@ -124,14 +126,18 @@ def sample(f, spec):
 # centered transforms
 # ----------------------------------------------------------------------------
 
-def _cdft(a, axis):
-    """Exact centered DFT: ``sum_k a_k exp(-2 pi i (k-n/2)(m-n/2)/n)``."""
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
+def _parity(n):
+    """``(-1)^k`` for ``k = 0..n-1``, n even."""
+    return np.tile([1.0, -1.0], n // 2)
 
 
-def _cidft(a, axis):
-    """Inverse of :func:`_cdft` (includes the 1/n)."""
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
+def _centered(fft, a, scale=1.0):
+    """``scale`` times the exact centered ``fft`` over every axis of ``a``
+    (``sum_k a_k exp(-2 pi i (k-n/2).(m-n/2)/n)`` for ``fftn``): per axis,
+    ``(-1)^k`` before and ``(-1)^{n/2} (-1)^m`` after the plain transform."""
+    n, d = a.shape[0], a.ndim
+    S = _parity(n) if d == 1 else np.multiply.outer(_parity(n), _parity(n))
+    return (scale * (-1) ** (d * n // 2) * S) * fft(S * a)
 
 
 def grid_fourier(f):
@@ -140,33 +146,29 @@ def grid_fourier(f):
     Output lives on the dual grid; on self-dual grids that is the same grid,
     and the standard Gaussian is a fixed point up to the ``i^{-d/2}`` phase.
     """
-    v = f.values
-    for ax in range(f.spec.d):
-        v = _cdft(v, ax)
-    v = v * f.spec.h ** f.spec.d * np.exp(-0.25j * np.pi * f.spec.d)
-    return GridFn(f.spec.dual(), v)
+    scale = f.spec.h ** f.spec.d * np.exp(-0.25j * np.pi * f.spec.d)
+    return GridFn(f.spec.dual(), _centered(np.fft.fftn, f.values, scale))
 
 
 def grid_fourier_inverse(f):
-    v = f.values * np.exp(0.25j * np.pi * f.spec.d)
-    for ax in range(f.spec.d):
-        v = _cidft(v, ax)
     out = f.spec.dual()
-    return GridFn(out, v / out.h ** out.d)
+    scale = np.exp(0.25j * np.pi * out.d) / out.h ** out.d
+    return GridFn(out, _centered(np.fft.ifftn, f.values, scale))
 
 
 # ----------------------------------------------------------------------------
 # token action
 # ----------------------------------------------------------------------------
 
-def _chirp_values(spec, Q):
-    x = spec.axis()
-    if spec.d == 1:
-        quad = Q[0, 0] * x * x
-    else:
-        quad = (Q[0, 0] * x[:, None] ** 2 + 2 * Q[0, 1] * x[:, None] * x[None, :]
-                + Q[1, 1] * x[None, :] ** 2)
-    return np.exp(1j * np.pi * quad)
+def _chirp_values(x, Q):
+    """``exp(i pi Q z.z)``, complex ``Q``, on the grid with axis ``x``."""
+    if len(Q) == 1:
+        return np.exp(1j * np.pi * (Q[0, 0] * x * x))
+    quad = 2 * Q[0, 1] * x[:, None] * x
+    quad += Q[0, 0] * x[:, None] ** 2
+    quad += Q[1, 1] * x ** 2
+    quad *= 1j * np.pi
+    return np.exp(quad, out=quad)
 
 
 def _apply_rescale(f, E, maslov):
@@ -209,22 +211,24 @@ def grid_apply_token(t, f):
     if t.d != f.spec.d:
         raise ValidationError("token dimension does not match grid dimension")
     if t.op == "chirp":
-        return GridFn(f.spec, f.values * _chirp_values(f.spec, t.matrix_param()))
+        return GridFn(f.spec, f.values * _chirp_values(f.spec.axis(), t.matrix_param()))
     if t.op == "fourier":
         return grid_fourier(f)
     if t.op == "rescale":
         return _apply_rescale(f, t.matrix_param().real, t.maslov)
     if t.op == "multiplier":
-        # frequency-side symbol exp(-i pi P zeta.zeta); Im P <= 0 keeps it bounded
-        P = t.matrix_param()
-        g = grid_fourier(f)
-        g = GridFn(g.spec, g.values * _chirp_values(g.spec, -P))
-        return grid_fourier_inverse(g)
+        # grid_fourier_inverse(symbol * grid_fourier(f)) with the symbol
+        # exp(-i pi P zeta.zeta), Im P <= 0: the centring signs and scalars
+        # cancel, so the symbol, sampled in FFT order, multiplies a plain FFT
+        xi = np.fft.ifftshift(f.spec.dual().axis())
+        v = np.fft.fftn(f.values)
+        v *= _chirp_values(xi, -t.matrix_param())
+        return GridFn(f.spec, np.fft.ifftn(v))
     if t.op == "atom_r":
         return grid_apply_word(factor_R_theta(t.vector_param()), f)
     if t.op == "atom_p":
         Q = 1j * np.diag(t.vector_param())
-        return GridFn(f.spec, f.values * _chirp_values(f.spec, Q))
+        return GridFn(f.spec, f.values * _chirp_values(f.spec.axis(), Q))
     raise ValidationError(f"unknown token op {t.op!r}")
 
 
@@ -240,12 +244,9 @@ def grid_apply_word(word, f):
 # quadratic representations
 # ----------------------------------------------------------------------------
 
-def _upsample2(vals, n):
+def _upsample2(vals):
     """Band-limited refinement to step h/2 on 2n points (same interval)."""
-    F = _cdft(vals, 0)
-    pad = np.zeros(2 * n, dtype=complex)
-    pad[n // 2: n // 2 + n] = F
-    return 2.0 * _cidft(pad, 0)
+    return _centered(np.fft.ifftn, np.pad(_centered(np.fft.fftn, vals), vals.size // 2), 2.0)
 
 
 def _require_selfdual_1d(f, g, who):
@@ -264,39 +265,35 @@ def grid_wigner(f, g=None):
     ``W[i, m] = h * sum_k f(x_i + y_k/2) conj(g(x_i - y_k/2))
     exp(-2 pi i y_k xi_m)`` with the half-step values taken from the
     band-limited refinement of the samples.  Output indices are
-    ``(x, xi)`` on the same grid.
+    ``(x, xi)`` on the same grid.  Row ``i`` of the summand multiplies two
+    strided views of the refinements zero-padded by n/2: the length-n
+    windows of ``f`` from ``2i`` and of the reversed ``conj g`` from
+    ``2n - 1 - 2i``.  The DFT's sign ``(-1)^k`` is ``(-1)^{n/2+j}`` at
+    index ``j`` of the refined ``f``.
     """
-    if g is None:
-        g = f
-    _require_selfdual_1d(f, g, "grid_wigner")
+    _require_selfdual_1d(f, f if g is None else g, "grid_wigner")
     n, h = f.spec.n, f.spec.h
-    f2 = _upsample2(f.values, n)
-    g2 = _upsample2(g.values, n)
-    i = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    J = 2 * i + k - n // 2
-    Jp = 2 * i - k + n // 2
-    okJ = (0 <= J) & (J < 2 * n)
-    okJp = (0 <= Jp) & (Jp < 2 * n)
-    C = np.where(okJ, f2[np.clip(J, 0, 2 * n - 1)], 0) \
-        * np.conj(np.where(okJp, g2[np.clip(Jp, 0, 2 * n - 1)], 0))
-    W = h * _cdft(C, 1)
+    f2 = _upsample2(f.values)
+    g2 = f2 if g is None else _upsample2(g.values)
+    fp = np.pad(f2 * _parity(2 * n), n // 2)
+    gp = np.pad(np.conj(g2[::-1]), n // 2)
+    W = np.fft.fft(sliding_window_view(fp, n)[:2 * n:2]
+                   * sliding_window_view(gp, n)[2 * n - 1::-2], axis=1)
+    W *= h * _parity(n)
     return GridFn(GridSpec(2, n, h), W)
 
 
 def grid_stft(f, g):
     """Short-time Fourier transform ``V[i, m] = h * sum_k f(y_k)
     conj(g(y_k - x_i)) exp(-2 pi i y_k xi_m)`` with window ``g`` (no
-    wrap-around: the window is zero off the grid)."""
+    wrap-around: the window is zero off the grid).  Row ``i`` of the
+    summand is ``f`` times the length-n window from ``n - i`` of ``conj g``
+    zero-padded by n/2: one view of the windows in reverse order."""
     _require_selfdual_1d(f, g, "grid_stft")
     n, h = f.spec.n, f.spec.h
-    i = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    Jg = k - i + n // 2
-    ok = (0 <= Jg) & (Jg < n)
-    G = np.where(ok, g.values[np.clip(Jg, 0, n - 1)], 0)
-    C = f.values[None, :] * np.conj(G)
-    V = h * _cdft(C, 1)
+    windows = sliding_window_view(np.pad(np.conj(g.values), n // 2), n)[n:0:-1]
+    V = np.fft.fft(f.values * _parity(n) * windows, axis=1)
+    V *= (-1) ** (n // 2) * h * _parity(n)
     return GridFn(GridSpec(2, n, h), V)
 
 
@@ -318,9 +315,10 @@ def discrete_modnorm(f, g, p=1.0, q=None, s=0.0):
         q = p
     V = grid_stft(f, g)
     n, h = V.spec.n, V.spec.h
-    x = V.spec.axis()
-    wt = (1.0 + x[:, None] ** 2 + x[None, :] ** 2) ** (s / 2.0)
-    M = np.abs(V.values) * wt
+    M = np.abs(V.values)
+    if s != 0:
+        x = V.spec.axis()
+        M *= (1.0 + x[:, None] ** 2 + x[None, :] ** 2) ** (s / 2.0)
     inner = _lp_axis(M, p, h, axis=0)          # over x, for each xi
     outer = _lp_axis(inner, q, 1.0 / (n * h), axis=0)
     return float(outer)

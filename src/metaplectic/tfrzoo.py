@@ -337,7 +337,11 @@ def conjugation_symmetric(spec, detail=False):
     Two independent tests are run and cross-asserted: the block pattern of
     the matrix itself (columns 2 and 4 are signed conjugates of columns 1
     and 3), and the tilde-symmetry of the transition matrix against the
-    classical Wigner representation.
+    classical Wigner representation.  Both defects are measured relative to
+    ``max(1, |A|)`` against one threshold.  The transition defect is the
+    pattern defect seen through the fixed Wigner matrix, so near the
+    threshold the two may fall on either side of it, by at most the
+    condition number of that matrix; the pattern verdict then stands.
     """
     A = spec.A if isinstance(spec, TFRSpec) else np.asarray(spec, dtype=complex)
     d = A.shape[0] // 4
@@ -345,17 +349,18 @@ def conjugation_symmetric(spec, detail=False):
 
     # column pattern: sign +1 for the first two block rows, -1 for the last
     # two in column 2, and the opposite in column 4
-    defect = 0.0
-    for r in range(4):
-        s = 1.0 if r < 2 else -1.0
-        defect = max(defect, np.linalg.norm(_bl(A, r, 1, d) - s * np.conj(_bl(A, r, 0, d))))
-        defect = max(defect, np.linalg.norm(_bl(A, r, 3, d) + s * np.conj(_bl(A, r, 2, d))))
-    pattern = bool(defect <= 1e-9 * scale)
+    sign = np.repeat([1.0, -1.0], 2 * d)[:, None]
+    A1, A2, A3, A4 = np.hsplit(A, 4)
+    pattern_defect = np.linalg.norm(
+        np.hstack([A2 - sign * A1.conj(), A4 + sign * A3.conj()])) / scale
 
     O = np.zeros((d, d))
-    T = A @ np.linalg.inv(_covariant_matrix(np.eye(d) / 2, O, O))
-    cross = bool(np.linalg.norm(T - tilde(T)) <= 1e-9 * max(1.0, np.linalg.norm(T)))
-    if pattern != cross:
+    W = _covariant_matrix(np.eye(d) / 2, O, O)
+    T = A @ np.linalg.inv(W)
+    cross_defect = np.linalg.norm(T - tilde(T)) / scale
+    pattern, cross = bool(pattern_defect <= 1e-9), bool(cross_defect <= 1e-9)
+    low, high = sorted((pattern_defect, cross_defect))
+    if pattern != cross and high > np.linalg.cond(W) * low:
         raise ModelError("conjugation-symmetry tests disagree")
     if detail:
         return pattern, {"column_pattern": pattern, "transition_tilde_fixed": cross}

@@ -248,6 +248,18 @@ def test_tfr_classify(runner, files):
     assert rep["pure_spectrogram"]["pure"]
 
 
+def test_tfr_classify_near_conjugation_margin(runner, tmp_path):
+    # at the conjugation-symmetry threshold both of its tests are near their
+    # margin; the report still carries a verdict
+    path = tmp_path / "near.json"
+    path.write_text(F.dumps_json(F.dump_tfrspec(
+        build_covariant(np.eye(1) / 2 + 1e-9, -0.5j * np.eye(1), 0.5j * np.eye(1)))))
+    r = runner.invoke(main, ["tfr", "classify", "--tfr", str(path)])
+    assert r.exit_code == 0, r.output
+    rep = json.loads(r.output)
+    assert rep["covariant"] and rep["conjugation_symmetric"] in (True, False)
+
+
 def test_tfr_kernel(runner, files):
     r = runner.invoke(main, ["tfr", "kernel", "--tfr", files["husimi.json"]])
     assert r.exit_code == 0

@@ -189,3 +189,121 @@ def test_contraction_check_hermite_atom():
     ratio, strict = contraction_check([atom_r([0.8])], g)
     assert abs(ratio - np.exp(-0.4)) < 1e-9
     assert strict
+
+
+# ----------------------------------------------------------------------------
+# the documented double sums, evaluated term by term
+# ----------------------------------------------------------------------------
+
+def _random_samples(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _fourier_sum(vals, spec, sign):
+    """``h^d i^{-sign d/2} sum_k vals_k exp(-2 pi i sign x_k . xi_m)``, the
+    output indexed by the points of the dual grid."""
+    x, xi = spec.axis(), spec.dual().axis()
+    E = np.empty((spec.n, spec.n), dtype=complex)
+    for k in range(spec.n):
+        for m in range(spec.n):
+            E[k, m] = np.exp(-2j * np.pi * sign * x[k] * xi[m])
+    scale = spec.h ** spec.d * np.exp(-0.25j * np.pi * sign * spec.d)
+    if spec.d == 1:
+        return scale * (vals @ E)
+    return scale * (E.T @ vals @ E)
+
+
+def _refined(vals, spec, t):
+    """Band-limited interpolant of 1-d samples at ``t``:
+    ``(1/n) sum_m sum_k vals_k exp(2 pi i (t - x_k) xi_m)``, zero off the
+    points ``-n h/2, ..., n h/2 - h/2`` of the refined grid."""
+    n, h = spec.n, spec.h
+    if not 0 <= round(2 * t / h) + n < 2 * n:
+        return 0.0
+    x, xi = spec.axis(), spec.dual().axis()
+    return np.sum(vals[:, None] * np.exp(2j * np.pi * np.outer(t - x, xi))) / n
+
+
+def _chirp_transform(rows, spec):
+    """``h sum_k rows[i, k] exp(-2 pi i y_k xi_m)`` for every row ``i``."""
+    y = spec.axis()
+    E = np.exp(-2j * np.pi * np.outer(y, y))
+    return spec.h * (rows @ E)
+
+
+def _wigner_rows(f, g, spec, rows):
+    x = spec.axis()
+    C = np.array([[_refined(f, spec, x[i] + y / 2) * np.conj(_refined(g, spec, x[i] - y / 2))
+                   for y in x] for i in rows])
+    return _chirp_transform(C, spec)
+
+
+def _stft_sum(f, g, spec):
+    n = spec.n
+    rows = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for k in range(n):
+            # g(y_k - x_i) sits at index k - i + n/2, and is zero off the grid
+            j = k - i + n // 2
+            if 0 <= j < n:
+                rows[i, k] = f[k] * np.conj(g[j])
+    return _chirp_transform(rows, spec)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 64])
+def test_grid_fourier_is_the_centered_sum(n):
+    # n = 6 and 10 have n/2 odd, where the centring contributes a sign
+    rng = np.random.default_rng(n)
+    for d in (1, 2):
+        spec = GridSpec(d, n, 0.7 / np.sqrt(n))
+        vals = _random_samples(rng, (n,) * d)
+        F = grid_fourier(GridFn(spec, vals))
+        assert F.spec == spec.dual()
+        assert _rel(F.values, _fourier_sum(vals, spec, 1)) < 1e-12, d
+        back = grid_fourier_inverse(GridFn(spec, vals))
+        assert _rel(back.values, _fourier_sum(vals, spec, -1)) < 1e-12, d
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 64])
+def test_grid_wigner_is_the_documented_sum(n):
+    rng = np.random.default_rng(100 + n)
+    spec = GridSpec(1, n, 1 / np.sqrt(n))
+    f, g = _random_samples(rng, n), _random_samples(rng, n)
+    # each refined value costs n^2 terms; at n = 64 a few rows still reach
+    # both edges, every lag y_k and every frequency
+    rows = list(range(n)) if n < 64 else [0, 1, 17, 32, 63]
+    W = grid_wigner(GridFn(spec, f), GridFn(spec, g))
+    assert W.spec == GridSpec(2, n, spec.h)
+    assert _rel(W.values[rows], _wigner_rows(f, g, spec, rows)) < 1e-12
+    auto = grid_wigner(GridFn(spec, f)).values
+    assert _rel(auto[rows], _wigner_rows(f, f, spec, rows)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 64])
+def test_grid_stft_is_the_documented_sum(n):
+    rng = np.random.default_rng(200 + n)
+    spec = GridSpec(1, n, 1 / np.sqrt(n))
+    f, g = _random_samples(rng, n), _random_samples(rng, n)
+    V = grid_stft(GridFn(spec, f), GridFn(spec, g))
+    assert V.spec == GridSpec(2, n, spec.h)
+    assert _rel(V.values, _stft_sum(f, g, spec)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [1.0, -0.5])
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.0, np.inf)])
+def test_modnorm_weighted_mixed_sum(rng, s, p, q):
+    spec = GridSpec(1, 64, 1 / 8.0)
+    f = sample(random_state(rng, 1), spec)
+    w = sample(standard_gaussian(1), spec)
+    V = grid_stft(f, w).values
+    x = spec.axis()
+    M = np.abs(V) * (1 + x[:, None] ** 2 + x[None, :] ** 2) ** (s / 2)
+    inner = [sum(M[i, m] ** p * spec.h for i in range(64)) ** (1 / p) for m in range(64)]
+    want = max(inner) if np.isinf(q) else \
+        sum(v ** q / (64 * spec.h) for v in inner) ** (1 / q)
+    got = discrete_modnorm(f, w, p=p, q=q, s=s)
+    assert abs(got - want) <= 1e-12 * want

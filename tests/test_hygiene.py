@@ -139,3 +139,29 @@ def test_classify_loads_no_scipy(tmp_path, command):
         else:
             assert report["d"] == (2 if command == "gaussian-wigner" else 1)
     assert loaded == "[]"
+
+
+def test_grid_transforms_load_no_scipy():
+    # the sampled Wigner, short-time and modulation-norm routes, the grid
+    # representation and the full-plane cone are numpy FFTs and sums
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from metaplectic import evoprop, gausscalc, gridlab, tfrzoo\n"
+        "spec = gridlab.GridSpec(1, 64, 1 / 8.0)\n"
+        "f = gridlab.sample(gausscalc.standard_gaussian(1), spec)\n"
+        "g = gridlab.sample(gausscalc.GaussianState(1, 1.0, [[0.3 + 1.2j]], [0.2]), spec)\n"
+        "W = gridlab.grid_wigner(f, g)\n"
+        "gridlab.grid_wigner(f)\n"
+        "gridlab.grid_stft(f, g)\n"
+        "gridlab.discrete_modnorm(f, g, p=2.0, q=2.0)\n"
+        "husimi = tfrzoo.build_covariant(np.eye(1) / 2, -0.5j * np.eye(1), 0.5j * np.eye(1))\n"
+        "tfrzoo.tfr_grid(husimi, f, g)\n"
+        "evoprop.cone_profile(W, [1.0, 0.0], np.pi)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -183,6 +183,20 @@ def test_conjugation_symmetric_flags():
     assert ok and detail["column_pattern"] and detail["transition_tilde_fixed"]
 
 
+@pytest.mark.parametrize("eps", [1e-10, 6e-10, 1e-9, 2e-9])
+def test_conjugation_symmetric_near_margin_gives_a_verdict(eps):
+    # Husimi with Re A11 moved off 1/2: both defects grow with eps and cross
+    # the threshold between 6e-10 and 2e-9
+    spec = build_covariant(I1 / 2 + eps, -1j * I1 / 2, 1j * I1 / 2)
+    ok, detail = conjugation_symmetric(spec, detail=True)
+    assert set(detail) == {"column_pattern", "transition_tilde_fixed"}
+    assert ok == detail["column_pattern"]
+    if eps < 1e-9:
+        assert ok
+    if eps > 1e-9:
+        assert not ok
+
+
 def test_split_word_validation():
     with pytest.raises(ValidationError):
         wigner_operator(SplitWord(u1=[], theta=np.array([0.5]),
