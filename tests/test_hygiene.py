@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-defaulted ``tol`` parameter is passed by some call, and cold commands load
-no more of scipy than they call."""
+defaulted ``tol`` parameter is passed by some call, and no module imports
+scipy: the source never names it, and cold commands and the grid routes run
+with every scipy import blocked."""
 import ast
 import json
 import os
@@ -39,6 +40,34 @@ def test_checker_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_imports(source):
+    """Line numbers of the imports of scipy or its submodules in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_scipy_import():
+    source = ("import numpy\nimport scipy.linalg as sla\n"
+              "def f():\n    from scipy.integrate import quad\n"
+              "from .scipy import x\nimport scipyx\n")
+    assert scipy_imports(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # numpy and click are the runtime dependencies; scipy is a test reference
+    assert scipy_imports(path.read_text()) == []
 
 
 def unpassed_tol_defaults(sources):
@@ -83,20 +112,25 @@ def test_every_tol_default_is_passed():
     assert unpassed_tol_defaults([p.read_text() for p in SRC.glob("*.py")]) == []
 
 
-def _cold_run(args, prefix):
-    """Run the CLI in a fresh interpreter; return its exit code, its stderr
-    and the sorted loaded modules whose names start with ``prefix``."""
-    script = (
-        "import sys\n"
-        "import metaplectic\n"
-        "from metaplectic.cli import main\n"
-        f"main({args!r}, standalone_mode=False)\n"
-        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n"
-    )
+# a None entry in sys.modules makes every import of scipy raise ImportError
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
+def _run_blocked(script):
+    """Run ``script`` in a fresh interpreter with scipy blocked; return its
+    exit code and its stderr."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY + script], capture_output=True,
                           text=True, env=env, timeout=120)
-    return proc.returncode, proc.stderr, proc.stdout.strip()
+    return proc.returncode, proc.stderr
+
+
+def _cold_run(args):
+    """Run the CLI with ``args`` cold, scipy blocked; return its exit code
+    and its stderr."""
+    return _run_blocked("import metaplectic\n"
+                        "from metaplectic.cli import main\n"
+                        f"main({args!r}, standalone_mode=False)\n")
 
 
 STATE = '{"d": 1, "c": [1, 0], "Q": {"d": 1, "rows": [[[0.2, 0.8]]]}, "b": [[0.3, -0.2]]}'
@@ -106,11 +140,11 @@ WORD = ('{"d": 1, "tokens": [{"op": "fourier"}, {"op": "atom_r", "theta": [0.5]}
 
 
 @pytest.mark.parametrize("command", ["classify", "polar", "gaussian-apply", "gaussian-wigner",
-                                     "evolve-heat", "evolve-hermite"])
+                                     "evolve-heat", "evolve-hermite", "evolve-heat-weighted"])
 def test_classify_loads_no_scipy(tmp_path, command):
-    # scipy is imported inside the functions that call it; a cold classify,
-    # polar split, word action, Wigner transform or flow (numpy expm, eigh
-    # normal form) pays nothing for it
+    # a cold classify, polar split, word action, Wigner transform or flow
+    # (numpy expm, eigh normal form, Gauss-Laguerre weight constant) runs
+    # with scipy blocked
     matrix = tmp_path / "matrix.json"
     matrix.write_text('{"d": 1, "rows": [[[0, 0], [1, 0]], [[-1, 0], [0.5, 0]]]}')
     state, word = tmp_path / "state.json", tmp_path / "word.json"
@@ -124,8 +158,9 @@ def test_classify_loads_no_scipy(tmp_path, command):
         "gaussian-wigner": ["gaussian", "wigner", "--state", str(state)],
         "evolve-heat": ["evolve", "--example", "heat"],
         "evolve-hermite": ["evolve", "--example", "hermite"],
+        "evolve-heat-weighted": ["evolve", "--example", "heat", "--s", "1"],
     }[command]
-    code, err, loaded = _cold_run(args + ["--out", str(out)], "scipy")
+    code, err = _cold_run(args + ["--out", str(out)])
     assert code == 0, err
     if command.startswith("evolve"):
         # header and one CSV row per default time step
@@ -138,14 +173,12 @@ def test_classify_loads_no_scipy(tmp_path, command):
             assert report["residual"] <= 1e-12
         else:
             assert report["d"] == (2 if command == "gaussian-wigner" else 1)
-    assert loaded == "[]"
 
 
 def test_grid_transforms_load_no_scipy():
     # the sampled Wigner, short-time and modulation-norm routes, the grid
-    # representation and the full-plane cone are numpy FFTs and sums
+    # representation, both cone branches and the weight constant are numpy
     script = (
-        "import sys\n"
         "import numpy as np\n"
         "from metaplectic import evoprop, gausscalc, gridlab, tfrzoo\n"
         "spec = gridlab.GridSpec(1, 64, 1 / 8.0)\n"
@@ -158,10 +191,8 @@ def test_grid_transforms_load_no_scipy():
         "husimi = tfrzoo.build_covariant(np.eye(1) / 2, -0.5j * np.eye(1), 0.5j * np.eye(1))\n"
         "tfrzoo.tfr_grid(husimi, f, g)\n"
         "evoprop.cone_profile(W, [1.0, 0.0], np.pi)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "evoprop.cone_profile(W, [1.0, 0.5], np.pi / 4)\n"
+        "evoprop.c_weight(1.0, 2)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code, err = _run_blocked(script)
+    assert code == 0, err
