@@ -12,6 +12,7 @@ weighted cone-localization functional used by the ``evolve`` driver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .gausscalc import (
     standard_gaussian,
     wigner_gaussian,
 )
-from .gridlab import GridSpec, discrete_modnorm, grid_fourier, sample
+from .gridlab import GridSpec, discrete_modnorm, grid_fourier, require_indices, sample
 from .sympcore import (
     atom_p,
     atom_r,
@@ -197,6 +198,17 @@ def weyl_pairing(Z, f, g):
 # norm bounds
 # ----------------------------------------------------------------------------
 
+@functools.cache
+def _laguerre_rule():
+    """The 80-node Gauss-Laguerre rule, built on first use (2-3 ms) and
+    shared read-only."""
+    from numpy.polynomial.laguerre import laggauss
+
+    u, w = laggauss(80)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def c_weight(s, d=1):
     """Weight constant ``(2 pi^d / Gamma(d)) int_0^inf e^{-pi r^2}
     (1+r^2)^{s/2} r^{2d-1} dr`` (equals 1 at ``s = 0`` in every dimension).
@@ -205,9 +217,7 @@ def c_weight(s, d=1):
     (1 + u/pi)^{s/2} du``, taken by 80-node Gauss-Laguerre quadrature."""
     if s == 0:
         return 1.0
-    from numpy.polynomial.laguerre import laggauss
-
-    u, w = laggauss(80)
+    u, w = _laguerre_rule()
     return float(w @ (u ** (d - 1) * (1 + u / np.pi) ** (s / 2))) / math.gamma(d)
 
 
@@ -220,8 +230,10 @@ def mod_norm_bound_U(U, p=2.0, q=None, s=0.0):
     over the symplectic singular values ``sigma_j >= 1``.  Unequal indices
     are only reachable for upper block-triangular ``U`` (no position-
     frequency mixing); otherwise :class:`UnsupportedShape` is raised.
+    ``p`` and ``q`` must lie in ``(0, inf]`` and ``s`` must be finite.
     """
     q = p if q is None else q
+    require_indices(p, q, s)
     U = np.asarray(U, dtype=float)
     W, sig, Om = symplectic_svd(U)
     d = sig.size
@@ -329,9 +341,11 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
     matrix fails the symplectic check is a row of NaN.  ``min_eig`` is
     absolute: the certificate cancels terms of size ``||S||^2``, so it
     loses digits as the flow grows (for a long hermite flow it can read
-    negative where the exact value is 1/2).
+    negative where the exact value is 1/2).  ``p`` and ``q`` must lie in
+    ``(0, inf]`` and ``s`` must be finite.
     """
     qq = p if q is None else q
+    require_indices(p, qq, s)
     phi = standard_gaussian(H.d)
     base = None
     gspec = None
@@ -404,8 +418,10 @@ def cone_profile(W, z0, aperture, s=0.0):
 
         h_dual^2 sum_{k,l} What[k, l] exp(2 pi i (X zeta_k + Y zeta_l)),
 
-    one ``(m^2 x n) @ (n x n)`` product and a row-wise dot; the modulus
-    drops the ``i^{-1}`` phase of the Fourier token.
+    one radial node at a time: an ``(m x n) @ (n x n)`` product and a
+    row-wise dot, so the exponential tables hold ``m x n`` entries (1 MB at
+    n = 512) where all nodes at once would hold ``m^2 x n`` (hundreds of MB).
+    The modulus drops the ``i^{-1}`` phase of the Fourier token.
     """
     if W.spec.d != 2:
         raise ValidationError("cone localization needs a phase-space (d = 2) grid")
@@ -429,9 +445,11 @@ def cone_profile(W, z0, aperture, s=0.0):
     phi = float(np.arctan2(z0[1], z0[0])) + aperture * t
     F = grid_fourier(W)
     phase = 2j * np.pi * F.spec.axis()
-    X = np.outer(r, np.cos(phi)).ravel()
-    Y = np.outer(r, np.sin(phi)).ravel()
-    vals = np.einsum("pl,pl->p", np.exp(np.outer(X, phase)) @ F.values, np.exp(np.outer(Y, phase)))
-    mag2 = np.abs(vals.reshape(r.size, phi.size) * F.spec.h ** 2) ** 2
+    cos, sin = np.cos(phi), np.sin(phi)
+    mag2 = np.empty((r.size, phi.size))
+    for a, ra in enumerate(r):
+        vals = np.einsum("pl,pl->p", np.exp(np.outer(ra * cos, phase)) @ F.values,
+                         np.exp(np.outer(ra * sin, phase)))
+        mag2[a] = np.abs(vals * F.spec.h ** 2) ** 2
     radial = (1 + r ** 2) ** s * r * (rmax / 2) * w
     return float(radial @ mag2 @ (aperture * w))

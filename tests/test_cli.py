@@ -402,3 +402,12 @@ def test_module_entry_point_runs_cli(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "cannot read matrix" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--p", "0"], ["--p", "-1"], ["--p", "nan"], ["--q", "0"],
+                                  ["--s", "nan"], ["--s", "inf"]])
+def test_evolve_rejects_indices_outside_domain(runner, args):
+    r = runner.invoke(main, ["evolve", "--example", "heat", *args])
+    _exits_cleanly(r, 1)
+    assert r.stderr.startswith("validation error:")
+    assert len(r.stderr.splitlines()) == 1

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from metaplectic.errors import UnsupportedShape, ValidationError
 from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian, _expm,
-                                 c_weight, combined_bound, cone_profile,
+                                 _laguerre_rule, c_weight, combined_bound, cone_profile,
                                  evolve_trajectory, hamilton_map,
                                  harmonic_flow, harmonic_hamiltonian,
                                  heat_hamiltonian, hermite_hamiltonian,
@@ -15,7 +15,7 @@ from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian, _expm,
                                  weyl_pairing, weyl_symbol_Z)
 from metaplectic.gausscalc import (GaussianState, apply_word, norm,
                                    standard_gaussian, wigner_gaussian)
-from metaplectic.gridlab import GridSpec, grid_wigner, sample
+from metaplectic.gridlab import GridSpec, grid_fourier, grid_wigner, sample
 from metaplectic.sympcore import (atom_matrix, atom_r, fourier, is_symplectic,
                                   matrix_polar, omega, random_word, sharp,
                                   token_matrix, word_to_matrix)
@@ -147,6 +147,14 @@ def test_weight_constant_matches_tricomi(d):
         assert abs(c_weight(s, d) - want) <= 1e-12 * want
 
 
+def test_laguerre_rule_is_shared_read_only():
+    u, w = _laguerre_rule()
+    assert _laguerre_rule()[0] is u
+    assert not u.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 def test_weight_constant_monotone_in_s():
     vals = [c_weight(s) for s in (0.0, 0.5, 1.0, 2.0, 3.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -249,13 +257,23 @@ def test_polar_agrees_with_sqrtm_route():
 def test_evolve_trajectory_heat_rows():
     H = heat_hamiltonian(1.0, 1.0, 1)
     rows = evolve_trajectory(H, [0.25, 1.0], grid_n=128)
-    assert [sorted(r) == sorted(EVOLVE_COLUMNS) for r in rows]
+    assert all(sorted(r) == sorted(EVOLVE_COLUMNS) for r in rows)
     for r in rows:
         assert abs(r["bound_z"] - 1.0) < 1e-9
         assert r["min_eig"] >= -1e-9
         assert r["polar_residual"] < 1e-10
         assert r["l2_ratio"] <= r["bound_combined"] * (1 + 1e-9)
         assert abs(r["l2_ratio"] - r["modnorm_ratio"]) < 1e-3
+
+
+@pytest.mark.parametrize("p, q, s", [(0.0, None, 0.0), (-1.0, None, 0.0), (np.nan, None, 0.0),
+                                     (2.0, 0.0, 0.0), (2.0, 2.0, np.nan), (2.0, 2.0, np.inf)])
+def test_bounds_reject_indices_outside_domain(p, q, s):
+    H = heat_hamiltonian(1.0, 1.0, 1)
+    with pytest.raises(ValidationError):
+        evolve_trajectory(H, [0.5], p=p, q=q, s=s, grid_n=64)
+    with pytest.raises(ValidationError):
+        mod_norm_bound_U(np.eye(2), p=p, q=q, s=s)
 
 
 def test_evolve_trajectory_mixed_harmonic_nan_policy():
@@ -314,6 +332,37 @@ def test_narrow_cone_matches_gaussian_oracle(n):
                 want = _cone_oracle(f, np.arctan2(z0[1], z0[0]), aperture)
                 got = cone_profile(W, np.array(z0), aperture)
                 assert abs(got - want) <= 1e-9 * want, (name, z0, aperture)
+
+
+def _one_shot_cone(W, z0, aperture, s=0.0):
+    """The narrow-cone rule with every node's exponential table built at
+    once: one (m^2 x n) @ (n x n) product."""
+    n, h = W.spec.n, W.spec.h
+    from numpy.polynomial.legendre import leggauss
+
+    t, w = leggauss(max(64, n // 4))
+    rmax = n * h / 2
+    r = rmax / 2 * (t + 1)
+    phi = float(np.arctan2(z0[1], z0[0])) + aperture * t
+    F = grid_fourier(W)
+    phase = 2j * np.pi * F.spec.axis()
+    X = np.outer(r, np.cos(phi)).ravel()
+    Y = np.outer(r, np.sin(phi)).ravel()
+    vals = np.einsum("pl,pl->p", np.exp(np.outer(X, phase)) @ F.values, np.exp(np.outer(Y, phase)))
+    mag2 = np.abs(vals.reshape(r.size, phi.size) * F.spec.h ** 2) ** 2
+    radial = (1 + r ** 2) ** s * r * (rmax / 2) * w
+    return float(radial @ mag2 @ (aperture * w))
+
+
+def test_narrow_cone_matches_one_shot_rule():
+    spec = GridSpec(1, 64, 1 / 8.0)
+    f = GaussianState(1, 1.0, [[0.4 + 0.6j]], [0.2])
+    g = GaussianState(1, 1.0, [[0.3 + 1.2j]], [-0.1])
+    W = grid_wigner(sample(f, spec), sample(g, spec))
+    for z0, aperture, s in (([1.0, 0.0], 0.1, 0.0), ([0.3, -0.8], np.pi / 4, 1.5),
+                            ([-1.0, 0.2], 2.0, -1.0)):
+        want = _one_shot_cone(W, z0, aperture, s)
+        assert abs(cone_profile(W, np.array(z0), aperture, s) - want) <= 1e-14 * want
 
 
 def test_cone_profile_rejects_zero_direction():

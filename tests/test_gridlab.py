@@ -6,7 +6,8 @@ from metaplectic.errors import UnsupportedRescale, ValidationError
 from metaplectic.gausscalc import (GaussianState, apply_word, inner_product,
                                    norm, shift, standard_gaussian,
                                    wigner_gaussian)
-from metaplectic.gridlab import (GridFn, GridSpec, contraction_check,
+from metaplectic import gridlab
+from metaplectic.gridlab import (GridFn, GridSpec, _chirp_values, contraction_check,
                                  discrete_modnorm, grid_apply_token,
                                  grid_apply_word, grid_fourier,
                                  grid_fourier_inverse, grid_stft, grid_wigner,
@@ -307,3 +308,86 @@ def test_modnorm_weighted_mixed_sum(rng, s, p, q):
         sum(v ** q / (64 * spec.h) for v in inner) ** (1 / q)
     got = discrete_modnorm(f, w, p=p, q=q, s=s)
     assert abs(got - want) <= 1e-12 * want
+
+
+def _l2_modnorm(V, spec):
+    """The documented ``p = q = 2, s = 0`` mixed norm of transform values:
+    ``l^2`` over x with measure h, then over xi with measure 1/(n h)."""
+    inner = np.sqrt(np.sum(np.abs(V) ** 2, axis=0) * spec.h)
+    return np.sqrt(np.sum(inner ** 2) / (spec.n * spec.h))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 64])
+def test_modnorm_hilbert_is_the_documented_sum(n):
+    rng = np.random.default_rng(300 + n)
+    spec = GridSpec(1, n, 1 / np.sqrt(n))
+    f, g = _random_samples(rng, n), _random_samples(rng, n)
+    want = _l2_modnorm(_stft_sum(f, g, spec), spec)
+    got = discrete_modnorm(GridFn(spec, f), GridFn(spec, g), p=2.0, q=2.0, s=0.0)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_modnorm_hilbert_matches_grid_stft(n):
+    rng = np.random.default_rng(400 + n)
+    spec = GridSpec(1, n, 1 / np.sqrt(n))
+    f, g = GridFn(spec, _random_samples(rng, n)), GridFn(spec, _random_samples(rng, n))
+    want = _l2_modnorm(grid_stft(f, g).values, spec)
+    assert abs(discrete_modnorm(f, g, p=2.0, q=2.0) - want) <= 1e-13 * want
+
+
+def test_modnorm_hilbert_rejects_like_grid_stft():
+    line = GridFn(GridSpec(1, 64, 1 / 8.0), np.ones(64))
+    plane = GridFn(GridSpec(2, 64, 1 / 8.0), np.ones((64, 64)))
+    other = GridFn(GridSpec(1, 16, 1 / 4.0), np.ones(16))
+    wide = GridFn(GridSpec(1, 64, 0.2), np.ones(64))
+    for f, g in ((plane, line), (line, plane), (line, other), (wide, wide)):
+        with pytest.raises(ValidationError) as stft:
+            grid_stft(f, g)
+        with pytest.raises(ValidationError) as norm_err:
+            discrete_modnorm(f, g, p=2.0, q=2.0, s=0.0)
+        assert str(norm_err.value) == str(stft.value)
+
+
+def test_modnorm_hilbert_builds_no_stft(monkeypatch):
+    spec = GridSpec(1, 64, 1 / 8.0)
+    f = sample(standard_gaussian(1), spec)
+    want = discrete_modnorm(f, f, p=2.0, q=2.0)
+
+    def no_stft(f, g):
+        raise AssertionError("the Hilbert case built a short-time transform")
+
+    monkeypatch.setattr(gridlab, "grid_stft", no_stft)
+    assert discrete_modnorm(f, f, p=2.0, q=2.0) == want
+    assert discrete_modnorm(f, f, p=2.0) == want
+    with pytest.raises(AssertionError):
+        discrete_modnorm(f, f, p=1.0)
+
+
+@pytest.mark.parametrize("p, q, s", [(0.0, None, 0.0), (-1.0, None, 0.0), (np.nan, None, 0.0),
+                                     (2.0, 0.0, 0.0), (2.0, np.nan, 0.0), (2.0, 2.0, np.nan),
+                                     (2.0, 2.0, np.inf), (1.0, 1.0, -np.inf)])
+def test_modnorm_rejects_indices_outside_domain(p, q, s):
+    f = sample(standard_gaussian(1), GridSpec(1, 64, 1 / 8.0))
+    with pytest.raises(ValidationError):
+        discrete_modnorm(f, f, p=p, q=q, s=s)
+
+
+def test_modnorm_accepts_infinite_indices():
+    g = sample(standard_gaussian(1), GridSpec(1, 64, 1 / 8.0))
+    assert np.isfinite(discrete_modnorm(g, g, p=np.inf, q=np.inf))
+
+
+@pytest.mark.parametrize("Q", [[[1.5j, 0.4j], [0.4j, 0.8j]],
+                               [[0.3 + 1.5j, -0.7 + 0.4j], [-0.7 + 0.4j, 1.1 + 0.8j]]],
+                         ids=["imaginary", "complex"])
+def test_chirp_values_2d_is_the_complex_exponential(Q):
+    # at the corners of this grid |z|^2 = 512 and exp(-pi Im Q z.z) underflows
+    Q = np.array(Q)
+    x = GridSpec(2, 64, 0.5).axis()
+    z = GridSpec(2, 64, 0.5).points()
+    want = np.exp(1j * np.pi * np.einsum("...i,ij,...j->...", z, Q, z))
+    got = _chirp_values(x, Q)
+    assert (want == 0).any()
+    assert np.all(np.abs(got[want == 0]) < np.finfo(float).tiny)
+    assert _rel(got, want) < 1e-14

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
-defaulted ``tol`` parameter is passed by some call, and no module imports
-scipy: the source never names it, and cold commands and the grid routes run
-with every scipy import blocked."""
+defaulted ``tol`` parameter is passed by some call, no test asserts a value
+that is always true, and no module imports scipy: the source never names
+it, and cold commands and the grid routes run with every scipy import
+blocked."""
 import ast
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "metaplectic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "metaplectic"
 
 # the package root imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -110,6 +112,39 @@ def test_checker_flags_unpassed_tol():
 def test_every_tol_default_is_passed():
     # a tolerance no caller sets belongs in the comparison, not the signature
     assert unpassed_tol_defaults([p.read_text() for p in SRC.glob("*.py")]) == []
+
+
+def vacuous_asserts(source):
+    """Line numbers of the asserts in ``source`` whose test is a
+    comprehension, a generator or a non-empty list or tuple literal: a
+    generator and a non-empty literal are always true, and a comprehension
+    tests only that it is non-empty, not its elements."""
+    shapes = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)
+            and (isinstance(node.test, shapes)
+                 or isinstance(node.test, (ast.List, ast.Tuple)) and node.test.elts)]
+
+
+def test_checker_flags_vacuous_assert():
+    source = ("assert [x > 0 for x in xs]\n"
+              "assert all(x > 0 for x in xs)\n"
+              "assert (x > 0 for x in xs)\n"
+              "assert {k: 1 for k in xs}\n"
+              "assert {x for x in xs}\n"
+              "assert (a, 'message')\n"
+              "assert [a]\n"
+              "assert a, 'message'\n"
+              "assert []\n"
+              "assert [] == xs\n")
+    assert vacuous_asserts(source) == [1, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py"))
+                         + sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_vacuous_asserts(path):
+    assert vacuous_asserts(path.read_text()) == []
 
 
 # a None entry in sys.modules makes every import of scipy raise ImportError
