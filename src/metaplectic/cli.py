@@ -176,7 +176,7 @@ def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out)
         g = gausscalc.apply_word(word, f)
     else:
         _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
-        g = gausscalc.apply_matrix(S, f)
+        g = gausscalc.apply_matrix(sympcore.require_symplectic(S), f)
     if fmt == "json":
         _emit_json(out, _dump_state_or_sum(g))
         return

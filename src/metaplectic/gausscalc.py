@@ -18,6 +18,9 @@ Conventions fixed once:
   (integral kernel ``exp(-2 pi i x . xi)``);
 * every token except a rescale acts through one formula, the matrix
   action ``Q -> (C + D Q)(A + B Q)^{-1}`` of :func:`apply_matrix`;
+* a sum is acted on as one stack: the token matrix, the determinant root
+  of the matrix and each numpy step are taken once per matrix, not once
+  per term, and a single state is a stack of one;
 * square roots of determinants are taken eigenvalue-by-eigenvalue on the
   principal branch; for a token matrix ``det(A + iB)^{-1/2}`` is then the
   token's metaplectic phase, so words carry a definite phase;
@@ -109,11 +112,18 @@ def _terms(f):
     return f if isinstance(f, list) else [f]
 
 
+def _sum_dim(terms):
+    """Dimension of a nonempty list of terms; an empty sum has none."""
+    if not terms:
+        raise ValidationError("empty Gaussian sum has no dimension")
+    return terms[0].d
+
+
 def eval_state(f, x):
     """Evaluate a state or sum at points ``x`` (shape ``(..., d)``; for d=1
     plain scalars/vectors are accepted)."""
     terms = _terms(f)
-    d = terms[0].d
+    d = _sum_dim(terms)
     x = np.asarray(x, dtype=complex)
     if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
         x = x[..., None]
@@ -202,19 +212,24 @@ def apply_token(t, f):
     ``det(A + iB)^{-1/2}`` is the token's metaplectic phase: ``exp(-i pi d/4)``
     for the Fourier token, 1 for a chirp and ``atom_p``, and the continuous
     branch from the identity for a multiplier and ``atom_r`` (``A + iB``
-    keeps its spectrum in the open right half plane there).
+    keeps its spectrum in the open right half plane there).  A sum shares
+    one token matrix.
     """
-    if isinstance(f, list):
-        return [apply_token(t, g) for g in f]
     if not isinstance(t, Token):
         raise ValidationError("apply_token expects a generator token")
-    if t.d != f.d:
-        raise ValidationError(f"token dimension {t.d} does not match state dimension {f.d}")
-    if t.op == "rescale":
-        E = t.matrix_param().real
-        c = f.c * (1j) ** (t.maslov % 4) * np.sqrt(abs(np.linalg.det(E)))
-        return GaussianState(f.d, c, E.T @ f.Q @ E, E.T @ f.b, f.allow_degenerate)
-    return apply_matrix(token_matrix(t), f)
+    terms = _terms(f)
+    for g in terms:
+        if t.d != g.d:
+            raise ValidationError(f"token dimension {t.d} does not match state dimension {g.d}")
+    if not terms:
+        return []
+    if t.op != "rescale":
+        return apply_matrix(token_matrix(t), f)
+    E = t.matrix_param().real
+    phase, scale = (1j) ** (t.maslov % 4), np.sqrt(abs(np.linalg.det(E)))
+    out = [GaussianState(g.d, g.c * phase * scale, E.T @ g.Q @ E, E.T @ g.b, g.allow_degenerate)
+           for g in terms]
+    return out if isinstance(f, list) else out[0]
 
 
 def apply_word(word, f):
@@ -241,29 +256,44 @@ def apply_matrix(S, f):
     continuation from the ground state.  The result is one linear operator,
     equal to the word route up to one global sign (and exactly in ``Q`` and
     ``b``).
+
+    A sum acts as one stack: the blocks and the root of ``det T0`` are taken
+    once, and each step of the term algebra is one batched call over the
+    ``(k, d, d)`` stack of the ``k`` terms.  A single state is a stack of one.
     """
-    if isinstance(f, list):
-        return [apply_matrix(S, g) for g in f]
+    terms = _terms(f)
+    if not terms:
+        return []
     S = np.asarray(S, dtype=complex)
     A, B, C, D = blocks(S)
-    d = f.d
-    if A.shape[0] != d:
+    if not np.all(np.isfinite(S)):
+        raise ValidationError("matrix must be finite")
+    if any(g.d != A.shape[0] for g in terms):
         raise ValidationError("matrix dimension does not match state dimension")
+    Q = np.array([g.Q for g in terms])
+    b = np.array([g.b for g in terms])[..., None]   # (k, d, 1) columns
     T0 = A + 1j * B
-    T = A + B @ f.Q
+    T = A + B @ Q
     try:
         lam = np.linalg.eigvals(np.linalg.solve(T0, T))
     except np.linalg.LinAlgError:
         raise DecompositionError("matrix action is singular on the ground state")
-    if np.min(np.abs(lam)) < 1e-10 * max(1.0, float(np.max(np.abs(lam)))):
+    mod = np.abs(lam)
+    if np.any(mod.min(axis=1) < 1e-10 * mod.max(axis=1, initial=1.0)):
         raise DecompositionError("matrix action is singular on this state")
-    Qp = np.linalg.solve(T.T, (C + D @ f.Q).T).T
-    Qp = Qp / 2 + Qp.T / 2
-    Bb = B @ f.b
-    bp = D @ f.b - Qp @ Bb
-    c = f.c * det_pow(T0, -0.5) * np.prod(lam ** -0.5) \
-        * np.exp(-1j * np.pi * Bb @ (D @ f.b) + 1j * np.pi * (Qp @ Bb) @ Bb)
-    return GaussianState(d, c, Qp, bp, f.allow_degenerate)
+    Qp = np.linalg.solve(T.transpose(0, 2, 1), (C + D @ Q).transpose(0, 2, 1))
+    Qp = Qp.transpose(0, 2, 1) / 2 + Qp / 2
+    Bb, Db = B @ b, D @ b
+    QBb = Qp @ Bb
+    bp = (Db - QBb)[..., 0]
+    # row-times-column products round as the per-term vector dot does
+    phase = (np.swapaxes(-1j * np.pi * Bb, 1, 2) @ Db
+             + np.swapaxes(1j * np.pi * QBb, 1, 2) @ Bb)[:, 0, 0]
+    c = np.array([g.c for g in terms]) * det_pow(T0, -0.5) * np.prod(lam ** -0.5, axis=1) \
+        * np.exp(phase)
+    out = [GaussianState(g.d, ck, Qk, bk, g.allow_degenerate)
+           for g, ck, Qk, bk in zip(terms, c, Qp, bp)]
+    return out if isinstance(f, list) else out[0]
 
 
 # ----------------------------------------------------------------------------
@@ -304,22 +334,25 @@ def wigner_gaussian(f, g=None):
     if g is None:
         g = f
     fterms, gterms = _terms(f), _terms(g)
-    d = fterms[0].d
-    Ew = np.block([[np.eye(d), np.eye(d) / 2], [np.eye(d), -np.eye(d) / 2]])
+    d = _sum_dim(fterms)
+    if _sum_dim(gterms) != d:
+        raise ValidationError("both slots of a Wigner distribution need one dimension")
+    I = np.eye(d)
+    Ew = from_blocks(I, I / 2, I, -I / 2)
     X = np.diag(np.r_[np.ones(d), np.zeros(d)])
     Y = np.eye(2 * d) - X
     F2 = from_blocks(X, Y, -Y, X)
     phase = np.exp(0.25j * np.pi * d)
-    out = []
+    gconj = conjugate_state(gterms)
+    tensors = []
     for tf in fterms:
-        for tg in gterms:
-            tgc = conjugate_state(tg)
+        for tg, tgc in zip(gterms, gconj):
             Qt = np.zeros((2 * d, 2 * d), dtype=complex)
             Qt[:d, :d], Qt[d:, d:] = tf.Q, tgc.Q
-            h = GaussianState(2 * d, phase * tf.c * tgc.c, Ew.T @ Qt @ Ew,
-                              Ew.T @ np.r_[tf.b, tgc.b],
-                              tf.allow_degenerate or tg.allow_degenerate)
-            out.append(apply_matrix(F2, h))
+            tensors.append(GaussianState(2 * d, phase * tf.c * tgc.c, Ew.T @ Qt @ Ew,
+                                         Ew.T @ np.r_[tf.b, tgc.b],
+                                         tf.allow_degenerate or tg.allow_degenerate))
+    out = apply_matrix(F2, tensors)
     return out if (isinstance(f, list) or isinstance(g, list)) else out[0]
 
 
@@ -338,15 +371,15 @@ def check_intertwining(word, z, tau, f):
     over parameters and over pointwise samples.
     """
     terms = _terms(f)
-    d = terms[0].d
+    d = _sum_dim(terms)
     z = np.asarray(z, dtype=float)
     S = word_to_matrix(word)
     if word_dim(word) != d or z.shape != (2 * d,):
         raise ValidationError("word, state, and shift dimensions must agree")
     Sz = S @ z
 
-    left = [apply_word(word, shift(t, z, tau)) for t in terms]
-    right = [complex_shift(apply_word(word, t), Sz[:d], Sz[d:], tau) for t in terms]
+    left = apply_word(word, shift(terms, z, tau))
+    right = complex_shift(apply_word(word, terms), Sz[:d], Sz[d:], tau)
 
     res = 0.0
     for lt, rt in zip(left, right):

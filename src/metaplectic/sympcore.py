@@ -28,6 +28,7 @@ to the scale of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,12 @@ def blocks(S):
 
 
 def from_blocks(A, B, C, D):
-    return np.block([[np.asarray(A), np.asarray(B)], [np.asarray(C), np.asarray(D)]])
+    """The block matrix ``[[A, B], [C, D]]`` of four 2-d blocks."""
+    A, B, C, D = np.asarray(A), np.asarray(B), np.asarray(C), np.asarray(D)
+    r, c = A.shape
+    out = np.empty((r + C.shape[0], c + B.shape[1]), dtype=np.result_type(A, B, C, D))
+    out[:r, :c], out[:r, c:], out[r:, :c], out[r:, c:] = A, B, C, D
+    return out
 
 
 def is_symplectic(S):
@@ -144,12 +150,18 @@ def sym_part(M, what, tol=1e-8):
     verdict is the one for ``M`` itself; halving before adding keeps the
     result finite."""
     M = np.asarray(M)
-    with np.errstate(invalid="ignore"):  # an inf entry scales to nan
-        Mn = M / np.abs(M / 2).max(initial=1.0)
-    asym = np.linalg.norm(Mn - Mn.T)
-    if asym > tol * max(1.0, np.linalg.norm(Mn)):
+    half = M / 2
+    top = np.abs(half).max(initial=1.0)
+    if np.isfinite(top):
+        Mn = M / top
+    else:
+        with np.errstate(invalid="ignore"):  # an inf entry scales to nan
+            Mn = M / top
+    E = Mn - Mn.T
+    asym = math.sqrt(np.vdot(E, E).real)
+    if asym > tol * max(1.0, math.sqrt(np.vdot(Mn, Mn).real)):
         raise ValidationError(f"{what} is not symmetric (relative defect {asym:.2e})")
-    return M / 2 + M.T / 2
+    return half + half.T
 
 
 def semidefinite(H, tol, definite=False):
@@ -159,8 +171,10 @@ def semidefinite(H, tol, definite=False):
     w = np.linalg.eigvalsh(H / 2 + H.T / 2)
     if not w.size:
         return True
-    margin = tol * max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] > margin) if definite else bool(w[0] >= -margin)
+    # eigvalsh sorts ascending: max |eig| is at one end
+    lo, hi = float(w[0]), float(w[-1])
+    margin = tol * max(1.0, -lo, hi)
+    return lo > margin if definite else lo >= -margin
 
 
 def _real_invertible(M, tol):
@@ -204,7 +218,7 @@ def positivity_matrix(S):
     SR, SI = S.real, S.imag
     X = SR.T @ J @ SI          # symmetric for symplectic S
     Y = SI.T @ J @ SI          # antisymmetric
-    M = np.block([[X, Y], [-Y, X]])
+    M = from_blocks(X, Y, -Y, X)
     return (M + M.T) / 2
 
 

@@ -33,6 +33,7 @@ from .sympcore import (
     atom_r,
     chirp,
     classify_positivity,
+    from_blocks,
     is_symplectic,
     multiplier,
     rescale,
@@ -87,12 +88,17 @@ def _covariant_matrix(A11, A13, A21):
     """The ``4d x 4d`` covariant block pattern of a parameter triple."""
     d = A11.shape[0]
     I, O = np.eye(d), np.zeros((d, d))
-    return np.block([
+    rows = [
         [A11, I - A11, A13, A13],
         [A21, -A21, I - A11.T, -A11.T],
         [O, O, I, I],
         [-I, I, O, O],
-    ])
+    ]
+    M = np.empty((4 * d, 4 * d), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, blk in enumerate(row):
+            _bl(M, i, j, d)[...] = blk
+    return M
 
 
 def _covariant_params(spec):
@@ -157,7 +163,7 @@ def symbol_exponent(spec):
     ``exp(-i pi B zeta . zeta)`` relating the representation to Wigner."""
     A11, A13, A21 = _params(spec.A, spec.d)
     I = np.eye(spec.d)
-    B = np.block([[A13, I / 2 - A11], [I / 2 - A11.T, -A21]])
+    B = from_blocks(A13, I / 2 - A11, I / 2 - A11.T, -A21)
     return (B + B.T) / 2
 
 

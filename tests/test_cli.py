@@ -187,6 +187,24 @@ def _exits_cleanly(r, code):
     assert "Traceback" not in r.stderr
 
 
+def test_gaussian_apply_rejects_non_symplectic_matrix(runner, files, tmp_path):
+    # 2I scales the standard Gaussian but is no symplectic matrix
+    path = tmp_path / "twice.json"
+    path.write_text(F.dumps_json(F.dump_matrix(2 * np.eye(2), 1)))
+    r = runner.invoke(main, ["gaussian", "apply", "--matrix", str(path),
+                             "--state", files["state.json"]])
+    _exits_cleanly(r, 1)
+    assert r.stderr.startswith("validation error:")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_gaussian_apply_matrix_json(runner, files):
+    r = runner.invoke(main, ["gaussian", "apply", "--matrix", files["matrix.json"],
+                             "--state", files["state.json"]])
+    assert r.exit_code == 0
+    assert np.asarray(F.load_state(json.loads(r.output)).Q).imag[0, 0] > 0
+
+
 @pytest.mark.parametrize("op", ["atom_r", "atom_p"])
 @pytest.mark.parametrize("entries", ['["x"]', "[" + str(2**1100) + "]", "[1e999999]",
                                      "[NaN]", "[null]", "[[0.5]]", "[true]", "0.5"],

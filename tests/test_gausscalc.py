@@ -1,17 +1,19 @@
 """Closed-form Gaussian calculus: evaluation, shifts, operator action."""
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metaplectic.errors import NumericalError, ValidationError
+from metaplectic.errors import DecompositionError, NumericalError, ValidationError
 from metaplectic.gausscalc import (GaussianState, apply_matrix, apply_token,
                                    apply_word, check_intertwining,
-                                   complex_shift, conjugate_state, eval_state,
-                                   gaussian_integral, inner_product, norm,
-                                   shift, standard_gaussian, wigner_gaussian)
-from metaplectic.sympcore import (atom_r, chirp, factor_R_theta, fourier,
-                                  multiplier, random_word, rescale, tilde_word,
-                                  word_to_matrix)
+                                   complex_shift, conjugate_state, det_pow,
+                                   eval_state, gaussian_integral,
+                                   inner_product, norm, shift,
+                                   standard_gaussian, wigner_gaussian)
+from metaplectic.sympcore import (atom_r, blocks, chirp, factor_R_theta,
+                                  fourier, multiplier, random_word, rescale,
+                                  tilde_word, word_to_matrix)
 
 from conftest import random_state, rel_values
 
@@ -300,3 +302,160 @@ def test_apply_matrix_real_frame_preserves_pairing():
         want = inner_product(f, g)
         got = inner_product(apply_matrix(V, f), apply_matrix(V, g))
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _per_term_action(S, f):
+    """The matrix action of one term, one numpy call per step: the
+    per-term formula that the stacked action must reproduce."""
+    A, B, C, D = blocks(np.asarray(S, dtype=complex))
+    T0 = A + 1j * B
+    T = A + B @ f.Q
+    try:
+        lam = np.linalg.eigvals(np.linalg.solve(T0, T))
+    except np.linalg.LinAlgError:
+        raise DecompositionError("matrix action is singular on the ground state")
+    if np.min(np.abs(lam)) < 1e-10 * max(1.0, float(np.max(np.abs(lam)))):
+        raise DecompositionError("matrix action is singular on this state")
+    Qp = np.linalg.solve(T.T, (C + D @ f.Q).T).T
+    Qp = Qp / 2 + Qp.T / 2
+    Bb = B @ f.b
+    bp = D @ f.b - Qp @ Bb
+    c = f.c * det_pow(T0, -0.5) * np.prod(lam ** -0.5) \
+        * np.exp(-1j * np.pi * Bb @ (D @ f.b) + 1j * np.pi * (Qp @ Bb) @ Bb)
+    return GaussianState(f.d, c, Qp, bp, f.allow_degenerate)
+
+
+def _random_sum(rng, d):
+    """One to four terms; about a third of them flat or of rank-one decay."""
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        f = random_state(rng, d)
+        if rng.integers(3) == 0:
+            v = rng.normal(size=(d, 1)) * rng.integers(2)
+            f = GaussianState(d, f.c, f.Q.real + 1j * (v @ v.T), f.b, allow_degenerate=True)
+        terms.append(f)
+    return terms
+
+
+def test_stacked_action_matches_per_term_formula():
+    # Q and b bitwise, c to rounding; both routes see the same terms
+    rng = np.random.default_rng(41)
+    for k in range(300):
+        d = 1 + k % 3
+        S = word_to_matrix(random_word(rng, d, max_len=6))
+        f = _random_sum(rng, d)
+        got = apply_matrix(S, f)
+        assert len(got) == len(f)
+        for g, t in zip(got, f):
+            want = _per_term_action(S, t)
+            assert np.array_equal(g.Q, want.Q) and np.array_equal(g.b, want.b)
+            assert abs(g.c - want.c) <= 1e-14 * abs(want.c)
+            assert g.allow_degenerate == t.allow_degenerate
+        single = apply_matrix(S, f[0])
+        assert isinstance(single, GaussianState)
+        assert np.array_equal(single.Q, got[0].Q) and single.c == got[0].c
+
+
+def test_singular_middle_term_raises_as_per_term():
+    # the Fourier transform of a plane wave is a point mass
+    rng = np.random.default_rng(42)
+    flat = GaussianState(1, 1.0, [[0.0]], [0.3], allow_degenerate=True)
+    f = [random_state(rng, 1), flat, random_state(rng, 1)]
+    S = word_to_matrix([fourier(1)])
+    with pytest.raises(DecompositionError) as want:
+        _per_term_action(S, flat)
+    with pytest.raises(DecompositionError) as got:
+        apply_matrix(S, f)
+    assert str(got.value) == str(want.value) == "matrix action is singular on this state"
+    with pytest.raises(DecompositionError, match="^matrix action is singular on this state$"):
+        apply_word([fourier(1)], f)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_apply_matrix_rejects_non_finite_matrix(bad):
+    # no arithmetic runs on it, so no RuntimeWarning either
+    S = np.eye(2, dtype=complex)
+    S[0, 1] = bad
+    with pytest.raises(ValidationError, match="^matrix must be finite$"):
+        apply_matrix(S, standard_gaussian(1))
+    with pytest.raises(ValidationError, match="^matrix must be finite$"):
+        apply_matrix(S, [standard_gaussian(1)] * 2)
+
+
+def test_empty_sums():
+    word = [fourier(1)]
+    assert apply_matrix(np.eye(2), []) == []
+    assert apply_word(word, []) == []
+    assert apply_token(fourier(1), []) == []
+    assert inner_product([], standard_gaussian(1)) == 0
+    assert norm([]) == 0.0
+    with pytest.raises(ValidationError, match="generator token"):
+        apply_token("x", [])
+    for call in (lambda: eval_state([], np.zeros(3)),
+                 lambda: wigner_gaussian([]),
+                 lambda: wigner_gaussian(standard_gaussian(1), []),
+                 lambda: check_intertwining(word, np.zeros(2), 0.0, [])):
+        with pytest.raises(ValidationError, match="empty Gaussian sum"):
+            call()
+
+
+def test_wigner_rejects_slots_of_two_dimensions():
+    with pytest.raises(ValidationError):
+        wigner_gaussian(standard_gaussian(1), standard_gaussian(2))
+
+
+def _eig_root(M):
+    """Product of the principal ``-1/2`` powers of the eigenvalues of ``M``."""
+    r = mp.mpf(1)
+    for e in mp.eig(M)[0]:
+        r *= mp.power(e, -0.5)
+    return r
+
+
+def _continued_root(S, Q):
+    """``det(A + B Q_s)^{-1/2}`` at 50 digits, continued along
+    ``Q_s = iI + s (Q - iI)`` from the per-eigenvalue principal root of
+    ``det(A + iB)`` at ``s = 0``.  Each step takes the root nearer to the
+    last one and is halved until that choice is unambiguous."""
+    d = Q.shape[0]
+    A, B = (mp.matrix(X.tolist()) for X in blocks(S)[:2])
+    Qm, iI = mp.matrix(Q.tolist()), 1j * mp.eye(d)
+    r = _eig_root(A + 1j * B)
+    s, h = mp.mpf(0), mp.mpf(1) / 32
+    while s < 1:
+        t = min(mp.mpf(1), s + h)
+        root = 1 / mp.sqrt(mp.det(A + B * (iI + t * (Qm - iI))))
+        if abs(root - r) < abs(root + r) / 4:
+            s, r = t, root
+        elif abs(root + r) < abs(root - r) / 4:
+            s, r = t, -root
+        else:
+            h /= 2
+    return r
+
+
+def test_apply_matrix_branch_matches_continued_root():
+    # the amplitude, sign included, against an independent 50-digit
+    # continuation of the determinant root; the sample must contain cases
+    # where the principal root of det(A + BQ), and the per-eigenvalue one,
+    # have the other sign
+    rng = np.random.default_rng(10)
+    flips = np.zeros(2, dtype=int)
+    with mp.workdps(50):
+        for k in range(15):
+            d = 1 + k % 3
+            S = word_to_matrix(random_word(rng, d, max_len=6))
+            f = random_state(rng, d)
+            A, B, C, D = (mp.matrix(X.tolist()) for X in blocks(S))
+            Q, b = mp.matrix(f.Q.tolist()), mp.matrix(f.b.tolist())
+            T = A + B * Q
+            Qp = (C + D * Q) * mp.inverse(T)
+            Bb, Db = B * b, D * b
+            quad = -(Bb.T * Db)[0, 0] + (Bb.T * Qp * Bb)[0, 0]
+            root = _continued_root(S, f.Q)
+            want = complex(f.c * root * mp.exp(1j * mp.pi * quad))
+            got = apply_matrix(S, f).c
+            assert abs(got - want) <= 1e-12 * abs(want)
+            flips += [abs(1 / mp.sqrt(mp.det(T)) + root) < abs(root),
+                      abs(_eig_root(T) + root) < abs(root)]
+    assert flips.min() >= 1

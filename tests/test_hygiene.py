@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
 defaulted ``tol`` parameter is passed by some call, no test asserts a value
-that is always true, and no module imports scipy: the source never names
-it, and cold commands and the grid routes run with every scipy import
-blocked."""
+that is always true, no module assembles a block matrix with ``np.block``
+(``sympcore.from_blocks`` fills one array), and no module imports scipy:
+the source never names it, and cold commands and the grid routes run with
+every scipy import blocked."""
 import ast
 import json
 import os
@@ -70,6 +71,39 @@ def test_checker_flags_scipy_import():
 def test_no_scipy_import(path):
     # numpy and click are the runtime dependencies; scipy is a test reference
     assert scipy_imports(path.read_text()) == []
+
+
+def np_block_uses(source):
+    """Line numbers of the calls of ``np.block`` or ``numpy.block`` and of
+    the imports of ``block`` from numpy in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "block"
+                    and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name == "block" for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_np_block():
+    source = ("import numpy as np\n"
+              "a = np.block([[x, y], [z, w]])\n"
+              "b = numpy.block([x])\n"
+              "from numpy import block, eye\n"
+              "c = blocks(S)\n"
+              "d = self.block(x)\n"
+              "e = np.bmat(x)\n")
+    assert np_block_uses(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_np_block(path):
+    # np.block costs more than the arithmetic on the small blocks here
+    assert np_block_uses(path.read_text()) == []
 
 
 def unpassed_tol_defaults(sources):
