@@ -189,8 +189,11 @@ def weyl_pairing(Z, f, g):
     """
     V, theta, delta = atomic_decompose(Z)
     lhs = inner_product(_weyl_symbol(V, theta, delta), wigner_gaussian(g, f))
-    fV = apply_matrix(V, f)
-    rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), apply_matrix(V, g))
+    # one stack carries both slots through the frame
+    fs, gs = (x if isinstance(x, list) else [x] for x in (f, g))
+    both = apply_matrix(V, fs + gs)
+    fV, gV = both[:len(fs)], both[len(fs):]
+    rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), gV)
     return lhs, rhs
 
 

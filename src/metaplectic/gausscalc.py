@@ -18,9 +18,14 @@ Conventions fixed once:
   (integral kernel ``exp(-2 pi i x . xi)``);
 * every token except a rescale acts through one formula, the matrix
   action ``Q -> (C + D Q)(A + B Q)^{-1}`` of :func:`apply_matrix`;
-* a sum is acted on as one stack: the token matrix, the determinant root
-  of the matrix and each numpy step are taken once per matrix, not once
-  per term, and a single state is a stack of one;
+* a sum travels through a whole word as one stack of parameters
+  ``c (k,)``, ``Q (k, d, d)``, ``b (k, d)``: the token matrix, the
+  determinant root of the matrix and each numpy step are taken once per
+  token, not once per term, and a single state is a stack of one;
+* each token's output is validated once, as a stack, with the tests of
+  :class:`GaussianState` (the symmetry test only after a rescale, the
+  matrix action being symmetric by construction), and states are built at
+  the boundary, when the result leaves the module;
 * square roots of determinants are taken eigenvalue-by-eigenvalue on the
   principal branch; for a token matrix ``det(A + iB)^{-1/2}`` is then the
   token's metaplectic phase, so words carry a definite phase;
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, ValidationError
+from .errors import DecompositionError, NumericalError, ValidationError
 from .sympcore import (
     Token,
     blocks,
@@ -70,7 +75,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Parameters of ``c exp(i pi Q x.x + 2 pi i b.x)`` on R^d."""
+    """Parameters of ``c exp(i pi Q x.x + 2 pi i b.x)`` on R^d.
+
+    Construction checks that ``Q`` is symmetric and that the state decays
+    (:func:`_require_decay`); the results of this module are built from
+    stacks that passed the same checks."""
 
     d: int
     c: complex
@@ -85,15 +94,68 @@ class GaussianState:
         if Q.shape != (d, d) or b.shape != (d,):
             raise ValidationError(f"state shape mismatch: d={d}, Q {Q.shape}, b {b.shape}")
         Q = sym_part(Q, "Q", tol=1e-10)
-        if self.allow_degenerate:
-            if not semidefinite(Q.imag, 1e-9):
-                raise ValidationError("Im Q must be positive semidefinite")
-        elif not semidefinite(Q.imag, 1e-14, definite=True):
-            raise ValidationError("Im Q must be positive definite (decaying state)")
+        _require_decay(Q[None], np.array([self.allow_degenerate]))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _from_valid(cls, d, c, Q, b, allow_degenerate):
+        """A state from fields that already pass the checks above: ``Q`` a
+        symmetric complex ``(d, d)`` array that decays as flagged, ``b`` a
+        complex ``(d,)`` array.  Private to this module."""
+        state = object.__new__(cls)
+        state.__dict__.update(d=d, c=c, Q=Q, b=b, allow_degenerate=allow_degenerate)
+        return state
+
+
+def _require_decay(Q, degenerate):
+    """Raise as :class:`GaussianState` does unless ``Im Q`` of every member
+    of the stack ``Q`` is positive definite, or, where ``degenerate`` flags
+    it, positive semidefinite.  Below size one the margin is relative to the
+    member's own size ``max |Q_ij|``, so a flat decaying exponent passes
+    however small it is, and ``Q = 0`` decays only when allowed to be
+    degenerate."""
+    H = Q.imag
+    size = np.abs(Q).max(axis=(-2, -1))
+    if np.count_nonzero(degenerate):
+        if not semidefinite(H[degenerate], 1e-9, size=size[degenerate]):
+            raise ValidationError("Im Q must be positive semidefinite")
+        H, size = H[~degenerate], size[~degenerate]
+    if H.size and not semidefinite(H, 1e-14, definite=True, size=size):
+        raise ValidationError("Im Q must be positive definite (decaying state)")
+
+
+def _validated(Q, degenerate, symmetric):
+    """``Q`` of a stack of output terms, after the tests of
+    :class:`GaussianState` run once over the stack: the symmetry test only
+    where ``Q`` is not ``symmetric`` by construction, and the decay test.
+    When the stack fails, its terms are tested one by one, so the error is
+    that of the first failing term."""
+    try:
+        out = Q if symmetric else sym_part(Q, "Q", tol=1e-10)
+        _require_decay(out, degenerate)
+        return out
+    except ValidationError:
+        if len(Q) > 1:
+            for k in range(len(Q)):
+                _validated(Q[k:k + 1], degenerate[k:k + 1], symmetric)
+        raise
+
+
+def _stack(terms):
+    """Parameter stack ``(c, Q, b, degenerate)`` of a nonempty list of
+    states of one dimension."""
+    return (np.array([g.c for g in terms]), np.array([g.Q for g in terms]),
+            np.array([g.b for g in terms]), np.array([g.allow_degenerate for g in terms]))
+
+
+def _states(c, Q, b, degenerate):
+    """The states of a validated stack."""
+    d = Q.shape[-1]
+    return [GaussianState._from_valid(d, complex(ck), Qk, bk, bool(gk))
+            for ck, Qk, bk, gk in zip(c, Q, b, degenerate)]
 
 
 def standard_gaussian(d):
@@ -105,7 +167,9 @@ def conjugate_state(f):
     """State of ``conj(f)``: ``Q -> -conj Q``, ``b -> -conj b``, ``c -> conj c``."""
     if isinstance(f, list):
         return [conjugate_state(t) for t in f]
-    return GaussianState(f.d, np.conj(f.c), -np.conj(f.Q), -np.conj(f.b), f.allow_degenerate)
+    # Im(-conj Q) = Im Q and -conj Q is symmetric: f's checks still hold
+    return GaussianState._from_valid(f.d, f.c.conjugate(), -np.conj(f.Q), -np.conj(f.b),
+                                     f.allow_degenerate)
 
 
 def _terms(f):
@@ -197,7 +261,10 @@ def complex_shift(f, zx, zw, tau=0.0):
                      - 1j * np.pi * zx @ zw
                      + 1j * np.pi * (f.Q @ zx) @ zx
                      - 2j * np.pi * f.b @ zx)
-    return GaussianState(f.d, c, f.Q, b, f.allow_degenerate)
+    if b.shape != (f.d,):
+        raise ValidationError(f"state shape mismatch: d={f.d}, Q {f.Q.shape}, b {b.shape}")
+    # Q is unchanged, so f's checks on it still hold
+    return GaussianState._from_valid(f.d, complex(c), f.Q, b, f.allow_degenerate)
 
 
 # ----------------------------------------------------------------------------
@@ -208,35 +275,64 @@ def apply_token(t, f):
     """Apply one generator token to a state or sum; exact in parameters.
 
     A rescale carries its own phase ``i^maslov |det E|^{1/2}``.  Every other
-    token acts through :func:`apply_matrix` on its matrix, where the root
-    ``det(A + iB)^{-1/2}`` is the token's metaplectic phase: ``exp(-i pi d/4)``
-    for the Fourier token, 1 for a chirp and ``atom_p``, and the continuous
-    branch from the identity for a multiplier and ``atom_r`` (``A + iB``
-    keeps its spectrum in the open right half plane there).  A sum shares
-    one token matrix.
+    token acts through the matrix action of :func:`apply_matrix` on its
+    matrix, where the root ``det(A + iB)^{-1/2}`` is the token's metaplectic
+    phase: ``exp(-i pi d/4)`` for the Fourier token, 1 for a chirp and
+    ``atom_p``, and the continuous branch from the identity for a
+    multiplier and ``atom_r`` (``A + iB`` keeps its spectrum in the open
+    right half plane there).  This is the word ``[t]``.
     """
-    if not isinstance(t, Token):
-        raise ValidationError("apply_token expects a generator token")
-    terms = _terms(f)
-    for g in terms:
-        if t.d != g.d:
-            raise ValidationError(f"token dimension {t.d} does not match state dimension {g.d}")
-    if not terms:
-        return []
-    if t.op != "rescale":
-        return apply_matrix(token_matrix(t), f)
-    E = t.matrix_param().real
-    phase, scale = (1j) ** (t.maslov % 4), np.sqrt(abs(np.linalg.det(E)))
-    out = [GaussianState(g.d, g.c * phase * scale, E.T @ g.Q @ E, E.T @ g.b, g.allow_degenerate)
-           for g in terms]
-    return out if isinstance(f, list) else out[0]
+    return apply_word([t], f)
 
 
 def apply_word(word, f):
-    """Apply a generator word; the first token in the list acts last."""
+    """Apply a generator word; the first token in the list acts last.
+
+    The sum travels through the word as one parameter stack, and states are
+    built once, from the last token's output.  Each token is checked (type,
+    then dimension against every term) when it is reached, so a word fails
+    at the same token, with the same error, as applying its tokens one at a
+    time.
+    """
+    terms = _terms(f)
+    dims = [g.d for g in terms]
+    stack = None
     for t in reversed(word):
-        f = apply_token(t, f)
-    return f
+        if not isinstance(t, Token):
+            raise ValidationError("apply_token expects a generator token")
+        for d in dims:
+            if t.d != d:
+                raise ValidationError(f"token dimension {t.d} does not match state dimension {d}")
+        if not terms:
+            continue
+        if stack is None:
+            stack = _stack(terms)
+        if t.op == "rescale":
+            stack = _rescale(t.matrix_param().real, t.maslov, *stack)
+        else:
+            stack = _act(_matrix_blocks(token_matrix(t), dims), *stack)
+    if stack is None:
+        return f
+    out = _states(*stack)
+    return out if isinstance(f, list) else out[0]
+
+
+def _rescale(E, maslov, c, Q, b, degenerate):
+    """``f -> i^maslov |det E|^{1/2} f(E x)`` on a stack."""
+    phase, scale = (1j) ** (maslov % 4), np.sqrt(abs(np.linalg.det(E)))
+    return (c * phase * scale, _validated(E.T @ Q @ E, degenerate, symmetric=False), b @ E,
+            degenerate)
+
+
+def _matrix_blocks(S, dims):
+    """The blocks of a finite matrix that acts on states of dimensions ``dims``."""
+    S = np.asarray(S, dtype=complex)
+    A, B, C, D = blocks(S)
+    if not np.isfinite(S).all():
+        raise ValidationError("matrix must be finite")
+    if any(d != A.shape[0] for d in dims):
+        raise ValidationError("matrix dimension does not match state dimension")
+    return A, B, C, D
 
 
 def apply_matrix(S, f):
@@ -264,24 +360,28 @@ def apply_matrix(S, f):
     terms = _terms(f)
     if not terms:
         return []
-    S = np.asarray(S, dtype=complex)
-    A, B, C, D = blocks(S)
-    if not np.all(np.isfinite(S)):
-        raise ValidationError("matrix must be finite")
-    if any(g.d != A.shape[0] for g in terms):
-        raise ValidationError("matrix dimension does not match state dimension")
-    Q = np.array([g.Q for g in terms])
-    b = np.array([g.b for g in terms])[..., None]   # (k, d, 1) columns
+    out = _states(*_act(_matrix_blocks(S, [g.d for g in terms]), *_stack(terms)))
+    return out if isinstance(f, list) else out[0]
+
+
+def _act(ABCD, c, Q, b, degenerate):
+    """The matrix action of :func:`apply_matrix` on a stack."""
+    A, B, C, D = ABCD
+    b = b[..., None]   # (k, d, 1) columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = A + B @ Q
+        N = C + D @ Q
+    if not (np.isfinite(T).all() and np.isfinite(N).all()):
+        raise NumericalError("matrix action overflows on this state")
     T0 = A + 1j * B
-    T = A + B @ Q
     try:
         lam = np.linalg.eigvals(np.linalg.solve(T0, T))
     except np.linalg.LinAlgError:
         raise DecompositionError("matrix action is singular on the ground state")
     mod = np.abs(lam)
-    if np.any(mod.min(axis=1) < 1e-10 * mod.max(axis=1, initial=1.0)):
+    if (mod.min(axis=1) < 1e-10 * mod.max(axis=1, initial=1.0)).any():
         raise DecompositionError("matrix action is singular on this state")
-    Qp = np.linalg.solve(T.transpose(0, 2, 1), (C + D @ Q).transpose(0, 2, 1))
+    Qp = np.linalg.solve(T.transpose(0, 2, 1), N.transpose(0, 2, 1))
     Qp = Qp.transpose(0, 2, 1) / 2 + Qp / 2
     Bb, Db = B @ b, D @ b
     QBb = Qp @ Bb
@@ -289,11 +389,8 @@ def apply_matrix(S, f):
     # row-times-column products round as the per-term vector dot does
     phase = (np.swapaxes(-1j * np.pi * Bb, 1, 2) @ Db
              + np.swapaxes(1j * np.pi * QBb, 1, 2) @ Bb)[:, 0, 0]
-    c = np.array([g.c for g in terms]) * det_pow(T0, -0.5) * np.prod(lam ** -0.5, axis=1) \
-        * np.exp(phase)
-    out = [GaussianState(g.d, ck, Qk, bk, g.allow_degenerate)
-           for g, ck, Qk, bk in zip(terms, c, Qp, bp)]
-    return out if isinstance(f, list) else out[0]
+    c = c * det_pow(T0, -0.5) * np.prod(lam ** -0.5, axis=1) * np.exp(phase)
+    return c, _validated(Qp, degenerate, symmetric=True), bp, degenerate
 
 
 # ----------------------------------------------------------------------------
@@ -343,16 +440,18 @@ def wigner_gaussian(f, g=None):
     Y = np.eye(2 * d) - X
     F2 = from_blocks(X, Y, -Y, X)
     phase = np.exp(0.25j * np.pi * d)
-    gconj = conjugate_state(gterms)
-    tensors = []
-    for tf in fterms:
-        for tg, tgc in zip(gterms, gconj):
-            Qt = np.zeros((2 * d, 2 * d), dtype=complex)
-            Qt[:d, :d], Qt[d:, d:] = tf.Q, tgc.Q
-            tensors.append(GaussianState(2 * d, phase * tf.c * tgc.c, Ew.T @ Qt @ Ew,
-                                         Ew.T @ np.r_[tf.b, tgc.b],
-                                         tf.allow_degenerate or tg.allow_degenerate))
-    out = apply_matrix(F2, tensors)
+    # the tensor of each term of f with the conjugate of each term of g, as
+    # one (k m)-stack: Q = Ew^T diag(Qf, -conj Qg) Ew, b = Ew^T (bf, -conj bg)
+    _, fQ, fb, fdeg = _stack(fterms)
+    _, gQ, gb, gdeg = _stack(gterms)
+    k, m = len(fterms), len(gterms)
+    Qt = np.zeros((k, m, 2 * d, 2 * d), dtype=complex)
+    Qt[..., :d, :d], Qt[..., d:, d:] = fQ[:, None], -np.conj(gQ)
+    bt = np.concatenate(np.broadcast_arrays(fb[:, None], -np.conj(gb)), axis=-1)
+    c = np.array([phase * tf.c * tg.c.conjugate() for tf in fterms for tg in gterms])
+    deg = (fdeg[:, None] | gdeg).reshape(-1)
+    Q = _validated(Ew.T @ Qt.reshape(-1, 2 * d, 2 * d) @ Ew, deg, symmetric=False)
+    out = _states(*_act(_matrix_blocks(F2, [2 * d]), c, Q, bt.reshape(-1, 2 * d) @ Ew, deg))
     return out if (isinstance(f, list) or isinstance(g, list)) else out[0]
 
 
@@ -378,8 +477,11 @@ def check_intertwining(word, z, tau, f):
         raise ValidationError("word, state, and shift dimensions must agree")
     Sz = S @ z
 
-    left = apply_word(word, shift(terms, z, tau))
-    right = complex_shift(apply_word(word, terms), Sz[:d], Sz[d:], tau)
+    # both routes share one stack through the word: the shifted terms, then
+    # the terms themselves
+    both = apply_word(word, shift(terms, z, tau) + terms)
+    left = both[:len(terms)]
+    right = complex_shift(both[len(terms):], Sz[:d], Sz[d:], tau)
 
     res = 0.0
     for lt, rt in zip(left, right):

@@ -28,7 +28,6 @@ to the scale of its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,39 +141,53 @@ def require_symplectic(S, what="matrix"):
 
 
 def sym_part(M, what, tol=1e-8):
-    """Symmetrize, guarding against genuinely asymmetric input.
+    """Symmetrize a matrix, or each member of a ``(k, d, d)`` stack, guarding
+    against genuinely asymmetric input.
 
     The defect is measured on ``M`` divided by ``max(1, max |M/2|)``, whose
     entries have modulus at most two, so huge finite entries cannot
     overflow the norms.  That divisor lies between 1 and ``||M||``, so the
     verdict is the one for ``M`` itself; halving before adding keeps the
-    result finite."""
+    result finite.  In a stack each member has its own divisor and verdict,
+    and the first member that fails names its defect."""
     M = np.asarray(M)
     half = M / 2
-    top = np.abs(half).max(initial=1.0)
-    if np.isfinite(top):
+    top = np.abs(half).max(axis=(-2, -1), keepdims=True, initial=1.0)
+    with np.errstate(invalid="ignore"):  # an inf entry scales to nan
         Mn = M / top
-    else:
-        with np.errstate(invalid="ignore"):  # an inf entry scales to nan
-            Mn = M / top
-    E = Mn - Mn.T
-    asym = math.sqrt(np.vdot(E, E).real)
-    if asym > tol * max(1.0, math.sqrt(np.vdot(Mn, Mn).real)):
-        raise ValidationError(f"{what} is not symmetric (relative defect {asym:.2e})")
-    return half + half.T
+    E = Mn - Mn.swapaxes(-1, -2)
+    # each member's bar is at least tol, so a stack whose whole defect is
+    # below tol passes without the member-by-member norms (a nan defect
+    # proves nothing and takes them)
+    if not np.vdot(E, E).real <= tol * tol:
+        asym = np.sqrt(np.einsum("...ij,...ij->...", E, E.conj()).real)
+        bad = asym > tol * np.maximum(1.0, np.sqrt(np.einsum("...ij,...ij->...", Mn, Mn.conj()).real))
+        if bad.any():
+            raise ValidationError(f"{what} is not symmetric (relative defect {asym[bad][0]:.2e})")
+    return half + half.swapaxes(-1, -2)
 
 
-def semidefinite(H, tol, definite=False):
+def semidefinite(H, tol, definite=False, size=None):
     """Is the symmetric part of real ``H`` positive semidefinite (or, with
     ``definite``, positive definite) up to the relative margin
-    ``tol * max(1, max |eig|)``?  The negative side is tested on ``-H``."""
-    w = np.linalg.eigvalsh(H / 2 + H.T / 2)
+    ``tol * max(1, max |eig|)``?  The negative side is tested on ``-H``.
+
+    A caller that knows the ``size`` of the object ``H`` was taken from
+    passes it, and the margin is then at most ``tol * size``: relative to
+    that object below size one as well.  For a ``(k, d, d)`` stack ``size``
+    is one value per member (or one for all), and the stack passes only if
+    every member does."""
+    H = np.asarray(H)
+    w = np.linalg.eigvalsh(H / 2 + H.swapaxes(-1, -2) / 2)
     if not w.size:
         return True
-    # eigvalsh sorts ascending: max |eig| is at one end
-    lo, hi = float(w[0]), float(w[-1])
-    margin = tol * max(1.0, -lo, hi)
-    return lo > margin if definite else lo >= -margin
+    scale = np.abs(w).max(axis=-1, initial=1.0)
+    if size is not None:
+        scale = np.minimum(scale, size)
+    # eigvalsh sorts ascending
+    lo, margin = w[..., 0], tol * scale
+    ok = lo > margin if definite else lo >= -margin
+    return bool(np.count_nonzero(ok) == ok.size)
 
 
 def _real_invertible(M, tol):

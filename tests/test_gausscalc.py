@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metaplectic.errors import DecompositionError, NumericalError, ValidationError
+from metaplectic.errors import (DecompositionError, MetaplecticError, NumericalError,
+                                ValidationError)
 from metaplectic.gausscalc import (GaussianState, apply_matrix, apply_token,
                                    apply_word, check_intertwining,
                                    complex_shift, conjugate_state, det_pow,
                                    eval_state, gaussian_integral,
                                    inner_product, norm, shift,
                                    standard_gaussian, wigner_gaussian)
-from metaplectic.sympcore import (atom_r, blocks, chirp, factor_R_theta,
-                                  fourier, multiplier, random_word, rescale,
-                                  tilde_word, word_to_matrix)
+from metaplectic.evoprop import weyl_pairing, weyl_symbol_Z
+from metaplectic.sympcore import (Token, atom_matrix, atom_p, atom_r,
+                                  atomic_decompose, blocks, chirp,
+                                  factor_R_theta, fourier, matrix_polar,
+                                  multiplier, random_word, rescale,
+                                  token_matrix, word_to_matrix)
 
 from conftest import random_state, rel_values
 
@@ -459,3 +463,181 @@ def test_apply_matrix_branch_matches_continued_root():
             flips += [abs(1 / mp.sqrt(mp.det(T)) + root) < abs(root),
                       abs(_eig_root(T) + root) < abs(root)]
     assert flips.min() >= 1
+
+
+def _per_token_word(word, f):
+    """The token-by-token route: each token is checked when it is reached,
+    then acts on every term, and every output term is built and validated
+    as a public ``GaussianState``."""
+    terms = f if isinstance(f, list) else [f]
+    for t in reversed(word):
+        if not isinstance(t, Token):
+            raise ValidationError("apply_token expects a generator token")
+        for g in terms:
+            if t.d != g.d:
+                raise ValidationError(f"token dimension {t.d} does not match state dimension {g.d}")
+        if t.op == "rescale":
+            E = t.matrix_param().real
+            amp = (1j) ** (t.maslov % 4) * np.sqrt(abs(np.linalg.det(E)))
+            terms = [GaussianState(g.d, g.c * amp, E.T @ g.Q @ E, E.T @ g.b, g.allow_degenerate)
+                     for g in terms]
+        else:
+            terms = [_per_term_action(token_matrix(t), g) for g in terms]
+    return terms if isinstance(f, list) else terms[0]
+
+
+def _outcome(call):
+    """The result of ``call()``, or the class and message of what it raised."""
+    try:
+        return call()
+    except MetaplecticError as e:
+        return type(e), str(e)
+
+
+def test_carried_stack_matches_per_token_route():
+    # words with rescales on sums with flat and rank-one terms mixed in: the
+    # same parameters, the phase included, or the same error
+    rng = np.random.default_rng(43)
+    raised = 0
+    for k in range(240):
+        d = 1 + k % 3
+        word = random_word(rng, d, max_len=6)
+        f = _random_sum(rng, d)
+        if k % 4 == 0:
+            # a plane wave: singular under a Fourier token that reaches it flat
+            f.insert(1, GaussianState(d, 1.0, np.zeros((d, d)), rng.normal(size=d),
+                                      allow_degenerate=True))
+        got = _outcome(lambda: apply_word(word, f))
+        want = _outcome(lambda: _per_token_word(word, f))
+        if isinstance(want, tuple):
+            raised += 1
+            assert got == want
+            continue
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g.Q - w.Q) <= 1e-14 * np.linalg.norm(w.Q)
+            assert np.linalg.norm(g.b - w.b) <= 1e-14 * max(np.linalg.norm(w.b), 1e-300)
+            # relative 1e-14 in c leaves no room for a sign flip
+            assert abs(g.c - w.c) <= 1e-14 * abs(w.c)
+            assert g.allow_degenerate == w.allow_degenerate and g.d == w.d
+    # the sample must also exercise the error route
+    assert 0 < raised < 60
+
+
+def test_middle_token_that_ends_decay_raises_as_per_token_route():
+    # a flat decaying term (|Q| << 1) that a real chirp lifts to size one,
+    # where its imaginary part no longer clears the margin
+    rng = np.random.default_rng(44)
+    thin = GaussianState(1, 1.0, [[1e-3 + 1e-16j]], [0.2])
+    f = [random_state(rng, 1), thin, random_state(rng, 1)]
+    word = [fourier(1), chirp([[1.0]]), rescale([[1.0]])]
+    want = _outcome(lambda: _per_token_word(word, f))
+    assert want == (ValidationError, "Im Q must be positive definite (decaying state)")
+    assert _outcome(lambda: apply_word(word, f)) == want
+    # two terms fail at one token with different messages: the stack names
+    # the first term's, as the per-token route does; the second is flat and
+    # slightly negative, within its margin until the chirp shrinks it
+    flat = GaussianState(1, 1.0, [[-1.0 - 1e-10j]], [0.1], allow_degenerate=True)
+    for f, message in (([thin, flat], "Im Q must be positive definite (decaying state)"),
+                       ([flat, thin], "Im Q must be positive semidefinite")):
+        want = _outcome(lambda: _per_token_word([chirp([[1.0]])], f))
+        assert want == (ValidationError, message)
+        assert _outcome(lambda: apply_word([chirp([[1.0]])], f)) == want
+
+
+@pytest.mark.parametrize("word, message", [
+    # the non-token is reached before the mismatched token
+    ([fourier(2), "x", chirp([[0.5]])], "apply_token expects a generator token"),
+    # the mismatched token is reached before the non-token
+    (["x", fourier(2), chirp([[0.5]])], "token dimension 2 does not match state dimension 1"),
+    # a Fourier token on a flat term fails before the non-token is reached
+    (["x", fourier(1)], "matrix action is singular on this state"),
+])
+def test_word_fails_at_the_per_token_route_token(word, message):
+    rng = np.random.default_rng(45)
+    flat = GaussianState(1, 1.0, [[0.0]], [0.3], allow_degenerate=True)
+    for f in ([random_state(rng, 1), flat], []):
+        want = _outcome(lambda: _per_token_word(word, f))
+        assert _outcome(lambda: apply_word(word, f)) == want
+        if f:
+            assert want[1] == message
+    # on an empty sum only the token types are checked
+    assert apply_word([fourier(2), chirp([[0.5]])], []) == []
+    with pytest.raises(ValidationError, match="generator token"):
+        apply_word([fourier(1), "x"], [])
+
+
+def test_intertwining_equals_two_call_form():
+    # the check pushes shift(f) + f through one stack; the two separate
+    # word applications give the same parameters and the same residual
+    rng = np.random.default_rng(46)
+    for k in range(40):
+        d = 1 + k % 3
+        word = random_word(rng, d, max_len=5)
+        f = [random_state(rng, d) for _ in range(int(rng.integers(1, 4)))]
+        z, tau = rng.normal(size=2 * d), float(rng.normal())
+        left = apply_word(word, shift(f, z, tau))
+        both = apply_word(word, shift(f, z, tau) + f)
+        alone = apply_word(word, f)
+        assert len(both) == 2 * len(f)
+        for g, h in zip(both, left + alone):
+            assert _parameter_gap(g, h) <= 1e-14
+        Sz = word_to_matrix(word) @ z
+        right = complex_shift(alone, Sz[:d], Sz[d:], tau)
+        res = max(max(np.linalg.norm(lt.Q - rt.Q) / max(1.0, np.linalg.norm(lt.Q)),
+                      np.linalg.norm(lt.b - rt.b) / max(1.0, np.linalg.norm(lt.b)),
+                      abs(lt.c - rt.c) / max(1.0, abs(lt.c)))
+                  for lt, rt in zip(left, right))
+        ts = np.linspace(-1.5, 1.5, 7)
+        pts = np.concatenate([np.outer(ts, v) for v in (np.ones(d), np.eye(d)[0])], axis=0)
+        lv, rv = eval_state(left, pts), eval_state(right, pts)
+        res = max(res, float(np.max(np.abs(lv - rv)) / max(1.0, float(np.max(np.abs(lv))))))
+        # the residual is itself rounding: equal to rounding
+        assert abs(check_intertwining(word, z, tau, f) - res) <= 1e-14
+
+
+def test_weyl_pairing_equals_two_call_form():
+    # the frame acts on f and g as one stack; apart it gives the same sides,
+    # for states and for sums
+    rng = np.random.default_rng(47)
+    for k in range(20):
+        d = 1 + k % 2
+        V = matrix_polar(word_to_matrix(random_word(rng, d, max_len=5))).U.real
+        Z = np.linalg.inv(V) @ atom_matrix(rng.uniform(0.2, 1.5, size=d), np.zeros(d)) @ V
+        f, g = random_state(rng, d), random_state(rng, d)
+        if k % 4 == 3:
+            f, g = [f, random_state(rng, d)], [g]
+        V, theta, delta = atomic_decompose(Z)
+        rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], apply_matrix(V, f)),
+                            apply_matrix(V, g))
+        lhs = inner_product(weyl_symbol_Z(Z), wigner_gaussian(g, f))
+        assert weyl_pairing(Z, f, g) == (lhs, rhs)
+
+
+def test_overflowing_matrix_action_is_a_numerical_error():
+    # A + BQ overflows on this finite state: no numpy warning (the suite
+    # turns RuntimeWarning into an error) and no claim about the ground state
+    f = GaussianState(1, 1, [[1e200 + 1e200j]], [0])
+    with pytest.raises(NumericalError, match="^matrix action overflows on this state$") as e:
+        apply_token(multiplier([[1e200]]), f)
+    assert type(e.value) is NumericalError
+    with pytest.raises(NumericalError, match="overflows"):
+        apply_matrix(token_matrix(multiplier([[1e200]])), [standard_gaussian(1), f])
+
+
+def test_decay_margin_is_relative_below_size_one():
+    # Q' = -1/Q = (-1 + i) / 2e200 is flat but decays
+    g = apply_token(fourier(1), GaussianState(1, 1, [[1e200 + 1e200j]], [0]))
+    assert abs(g.Q[0, 0] - (-5e-201 + 5e-201j)) <= 1e-15 * 5e-201
+    assert GaussianState(1, 1, [[1e-20j]], [0]).Q[0, 0] == 1e-20j
+    # Q = 0 does not decay: refused unless allowed to be degenerate
+    with pytest.raises(ValidationError, match=r"^Im Q must be positive definite \(decaying state\)$"):
+        GaussianState(1, 1, [[0]], [0])
+    assert GaussianState(2, 1, np.zeros((2, 2)), [0, 0], allow_degenerate=True).d == 2
+    # above size one the margin is relative to Im Q as before: a large real
+    # part does not raise the bar for a small imaginary one
+    assert GaussianState(1, 1, [[1e12 + 1e-3j]], [0]).Q[0, 0] == 1e12 + 1e-3j
+    # |Q_ij| beyond the float range lifts no cap and prints no warning
+    assert GaussianState(1, 1, [[1.5e308 + 1.5e308j]], [0]).Q[0, 0].imag == 1.5e308
+    with pytest.raises(ValidationError, match="positive definite"):
+        GaussianState(2, 1, np.diag([1e-3j, 1e-20j]), [0, 0])

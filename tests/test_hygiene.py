@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used in that module, every
 defaulted ``tol`` parameter is passed by some call, no test asserts a value
 that is always true, no module assembles a block matrix with ``np.block``
-(``sympcore.from_blocks`` fills one array), and no module imports scipy:
-the source never names it, and cold commands and the grid routes run with
-every scipy import blocked."""
+(``sympcore.from_blocks`` fills one array), only ``gausscalc`` builds a
+``GaussianState`` from already validated fields, and no module imports
+scipy: the source never names it, and cold commands and the grid routes
+run with every scipy import blocked."""
 import ast
 import json
 import os
@@ -104,6 +105,35 @@ def test_checker_flags_np_block():
 def test_no_np_block(path):
     # np.block costs more than the arithmetic on the small blocks here
     assert np_block_uses(path.read_text()) == []
+
+
+def trusted_constructor_uses(source):
+    """Line numbers of the uses in ``source`` of ``_from_valid``, the
+    constructor that skips the validation of ``GaussianState``: calls, and
+    references that could be called later."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_from_valid"
+                  or isinstance(node, ast.Name) and node.id == "_from_valid")
+
+
+def test_checker_flags_trusted_constructor():
+    source = ("from metaplectic.gausscalc import GaussianState\n"
+              "a = GaussianState._from_valid(1, 1, Q, b, False)\n"
+              "b = GaussianState(1, 1, Q, b)\n"
+              "c = gausscalc.GaussianState._from_valid(1, 1, Q, b, False)\n"
+              "make = GaussianState._from_valid\n"
+              "d = _from_valid(1, 1, Q, b, False)\n"
+              "e = '_from_valid'\n")
+    assert trusted_constructor_uses(source) == [2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "gausscalc.py"]
+                         + sorted((ROOT / "tests").glob("*.py"))
+                         + sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_gausscalc_skips_state_validation(path):
+    # every state built elsewhere passes the checks of GaussianState
+    assert trusted_constructor_uses(path.read_text()) == []
 
 
 def unpassed_tol_defaults(sources):

@@ -13,7 +13,7 @@ from metaplectic.sympcore import (atom_matrix, atom_p, atom_r, atomic_decompose,
                                   is_symplectic, matrix_polar, multiplier,
                                   omega, positivity_matrix,
                                   random_word, rescale, require_symplectic,
-                                  schur_psd_test, sharp, sym_part,
+                                  schur_psd_test, semidefinite, sharp, sym_part,
                                   symplectic_svd, tensor_interleave, tilde,
                                   tilde_word, token_matrix, word_to_matrix)
 
@@ -135,6 +135,35 @@ def test_huge_finite_parameters_symmetrize_without_overflow():
         sym_part(np.array([[1e308, 1.7e308], [-1.7e308, 1e308]]), "M")
     with pytest.raises(ValidationError, match="imaginary part"):
         chirp([[1e308 - 1e308j]])
+
+
+def test_stacked_sym_part_and_semidefinite_judge_each_member():
+    # a stack passes only if every member passes alone; a nan member (which
+    # passes alone) must not mask an asymmetric one after it
+    rng = np.random.default_rng(5)
+    good = [(lambda G: (G + G.T) / 2)(rng.normal(size=(2, 2))) for _ in range(2)]
+    nan = np.array([[np.nan, 1.0], [1.0, 0.0]])
+    skew = np.array([[1.0, 2.0], [-2.0, 1.0]])
+    stack = np.array([good[0], nan, skew, good[1]])
+    with pytest.raises(ValidationError) as alone:
+        sym_part(skew, "M")
+    with pytest.raises(ValidationError) as stacked:
+        sym_part(stack, "M")
+    assert str(stacked.value) == str(alone.value)
+    out = sym_part(np.array(good), "M")
+    assert all(np.array_equal(o, sym_part(g, "M")) for o, g in zip(out, good))
+    pd = [np.eye(2), np.diag([1.0, 1e-3])]
+    assert semidefinite(np.array(pd), 1e-14, definite=True)
+    assert not semidefinite(np.array(pd + [np.diag([1.0, -1e-3])]), 1e-14)
+    # the size of the object H came from caps the margin: relative below one
+    tiny = np.diag([1e-20, 1e-30])
+    assert semidefinite(tiny, 1e-14, definite=True) is False
+    assert semidefinite(tiny, 1e-14, definite=True, size=1e-20) is True
+    assert semidefinite(tiny, 1e-9, definite=True, size=1e-20) is False
+    assert semidefinite(np.array([tiny, 2 * np.eye(2)]), 1e-14, definite=True,
+                        size=np.array([1e-20, 2.0]))
+    # above size one the margin is relative to H, whatever the size
+    assert semidefinite(np.diag([1e3, 1e-10]), 1e-14, definite=True, size=1e12)
 
 
 def test_chirp_requires_symmetric():
