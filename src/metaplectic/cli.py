@@ -3,15 +3,18 @@
 Every subcommand reads JSON from files (or ``-`` for stdin), writes to
 ``--out`` (default stdout), and maps failures to stable exit codes:
 1 for validation errors (bad mathematical input), 2 for format and usage
-errors (malformed files, options out of range or impossible output
+errors (malformed files, options out of range such as a ``--grid-n`` that
+is odd or below 4, a ``--grid-h`` that is not positive and finite or a
+``--t-max`` that is negative or not finite, or impossible output
 requests), 3 for numerical errors (degenerate decompositions, branch
-failures).
+failures, overflow).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -73,6 +76,21 @@ def _guarded(fn):
             click.echo(f"numerical error: {e}", err=True)
             sys.exit(3)
     return wrapper
+
+
+def _checked(test, requirement):
+    """Option callback: a value that fails ``test`` is a usage error."""
+    def callback(ctx, param, value):
+        if value is not None and not test(value):
+            raise click.BadParameter(f"{value!r} {requirement}")
+        return value
+    return callback
+
+
+def _grid_n_option(text):
+    return click.option(
+        "--grid-n", type=int, default=256, show_default=True, help=text,
+        callback=_checked(lambda n: n >= 4 and n % 2 == 0, "must be even and at least 4"))
 
 
 def _out_option(fn):
@@ -160,9 +178,9 @@ def _dump_state_or_sum(f):
               help="Gaussian state or sum JSON (file or '-').")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "bin"]),
               default="json", show_default=True)
-@click.option("--grid-n", type=int, default=256, show_default=True,
-              help="Samples per axis for csv/bin output.")
+@_grid_n_option("Samples per axis for csv/bin output.")
 @click.option("--grid-h", type=float, default=None,
+              callback=_checked(lambda h: 0 < h < math.inf, "must be positive and finite"),
               help="Grid spacing for csv/bin output (default: self-dual 1/sqrt(n)).")
 @_out_option
 @_guarded
@@ -181,7 +199,7 @@ def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out)
         _emit_json(out, _dump_state_or_sum(g))
         return
     dim = g[0].d if isinstance(g, list) else g.d
-    spec = gridlab.GridSpec(dim, grid_n, grid_h if grid_h else 1.0 / np.sqrt(grid_n))
+    spec = gridlab.GridSpec(dim, grid_n, 1.0 / np.sqrt(grid_n) if grid_h is None else grid_h)
     gf = gridlab.sample(g, spec)
     _emit(out, formats.grid_csv(gf) if fmt == "csv" else formats.write_mpgf(gf))
 
@@ -316,13 +334,13 @@ def tfr_windows(tfr_path, out):
               help="Hyperbolic coordinates of the harmonic model.")
 @click.option("--d2", type=click.IntRange(min=0), default=1, show_default=True,
               help="Elliptic coordinates of the harmonic model (d1 + d2 >= 1).")
-@click.option("--t-max", type=float, default=2.0, show_default=True)
+@click.option("--t-max", type=float, default=2.0, show_default=True,
+              callback=_checked(lambda t: 0 <= t < math.inf, "must be finite and nonnegative"))
 @click.option("--t-steps", type=int, default=20, show_default=True)
 @click.option("--p", type=float, default=2.0, show_default=True)
 @click.option("--q", type=float, default=None, help="Defaults to p.")
 @click.option("--s", type=float, default=0.0, show_default=True)
-@click.option("--grid-n", type=int, default=256, show_default=True,
-              help="Grid size for the discrete modulation-norm column.")
+@_grid_n_option("Grid size for the discrete modulation-norm column.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="csv", show_default=True)
 @_out_option
@@ -344,7 +362,7 @@ def evolve(example, ham_path, alpha, beta, dim, d1, d2, t_max, t_steps,
         H = formats.load_hamiltonian(_read_json(ham_path, "Hamiltonian"))
     if t_steps < 1:
         raise FormatError("--t-steps must be at least 1")
-    times = [t_max * (k + 1) / t_steps for k in range(t_steps)]
+    times = [t_max * ((k + 1) / t_steps) for k in range(t_steps)]  # none past t_max: no overflow
     rows = evoprop.evolve_trajectory(H, times, p=p, q=q, s=s, grid_n=grid_n)
     if fmt == "csv":
         _emit(out, formats.rows_csv(rows, evoprop.EVOLVE_COLUMNS))

@@ -36,6 +36,7 @@ from .sympcore import (
     classify_positivity,
     from_blocks,
     matrix_polar,
+    negligible,
     omega,
     require_symplectic,
     semidefinite,
@@ -137,7 +138,8 @@ def propagator_matrix(H, t):
     """Flow matrix ``S_t = exp(-2 i t F)``; complex symplectic, and positive
     for ``t >= 0``.  The exponential is the numpy Pade routine
     :func:`_expm`; a flow that overflows fails the symplectic check."""
-    S = _expm(-2j * t * hamilton_map(H))
+    with np.errstate(over="ignore", invalid="ignore"):  # t F past the float range
+        S = _expm(-2j * t * hamilton_map(H))
     return require_symplectic(S, what="propagator matrix")
 
 
@@ -212,6 +214,14 @@ def _laguerre_rule():
     return u, w
 
 
+def _in_range(x, what):
+    """``x`` as a float; a value that left the floating-point range (inf,
+    or nan from inf times zero) is a :class:`NumericalError`."""
+    if not np.isfinite(x):
+        raise NumericalError(f"{what} leaves the floating-point range")
+    return float(x)
+
+
 def c_weight(s, d=1):
     """Weight constant ``(2 pi^d / Gamma(d)) int_0^inf e^{-pi r^2}
     (1+r^2)^{s/2} r^{2d-1} dr`` (equals 1 at ``s = 0`` in every dimension).
@@ -221,7 +231,9 @@ def c_weight(s, d=1):
     if s == 0:
         return 1.0
     u, w = _laguerre_rule()
-    return float(w @ (u ** (d - 1) * (1 + u / np.pi) ** (s / 2))) / math.gamma(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w @ (u ** (d - 1) * (1 + u / np.pi) ** (s / 2))
+    return _in_range(total, f"weight constant at s = {s}") / math.gamma(d)
 
 
 def mod_norm_bound_U(U, p=2.0, q=None, s=0.0):
@@ -233,34 +245,35 @@ def mod_norm_bound_U(U, p=2.0, q=None, s=0.0):
     over the symplectic singular values ``sigma_j >= 1``.  Unequal indices
     are only reachable for upper block-triangular ``U`` (no position-
     frequency mixing); otherwise :class:`UnsupportedShape` is raised.
-    ``p`` and ``q`` must lie in ``(0, inf]`` and ``s`` must be finite.
+    ``p`` and ``q`` must lie in ``(0, inf]`` and ``s`` must be finite; a
+    bound that leaves the floating-point range is a :class:`NumericalError`.
     """
     q = p if q is None else q
     require_indices(p, q, s)
     U = np.asarray(U, dtype=float)
     W, sig, Om = symplectic_svd(U)
     d = sig.size
-    if p != q:
-        C = U[d:, :d]
-        if np.linalg.norm(C) > 1e-10 * max(1.0, np.linalg.norm(U)):
-            raise UnsupportedShape("index-changing bounds need a vanishing lower-left block")
-        detfac = float(np.abs(np.linalg.det(U[:d, :d]))) ** (1.0 / p - 1.0 / q)
-    else:
-        detfac = 1.0
-    growth = float(np.prod(np.sqrt((1 + sig ** 2) / sig)))
-    return detfac * float(sig[0]) ** (2 * s) * growth
+    if p != q and not negligible(U[d:, :d], U, 1e-10):
+        raise UnsupportedShape("index-changing bounds need a vanishing lower-left block")
+    growth = np.prod(np.sqrt((1 + sig ** 2) / sig))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        detfac = np.abs(np.linalg.det(U[:d, :d])) ** (1.0 / p - 1.0 / q) if p != q else 1.0
+        return _in_range(detfac * sig[0] ** (2 * s) * growth, "modulation bound of U")
 
 
 def mod_norm_bound_Z(Z, s=0.0):
     """Mapping bound of the exponential-type factor on the weighted space of
     order ``s``: the symbol amplitude times ``c_weight(s)`` and the weight
-    growth over the symbol's decay ellipsoid."""
+    growth over the symbol's decay ellipsoid; a bound that leaves the
+    floating-point range is a :class:`NumericalError`."""
     V, theta, delta = atomic_decompose(Z)
     d = theta.size
-    amp = float(np.prod(1.0 / np.cosh(theta / 2)))
+    amp = np.prod(1.0 / np.cosh(theta / 2))
     M = np.diag(np.sqrt(_sigma_slots(theta, delta))) @ np.linalg.inv(V)
-    smax = float(np.linalg.svd(M, compute_uv=False)[0])
-    return c_weight(s, d) * amp * (1 + smax ** 2) ** (s / 2)
+    smax = np.linalg.svd(M, compute_uv=False)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = c_weight(s, d) * amp * (1 + smax ** 2) ** (s / 2)
+    return _in_range(bound, "modulation bound of Z")
 
 
 def combined_bound(S, p=2.0, q=None, s=0.0):
@@ -391,11 +404,13 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
         except NumericalError:
             ft = None
             row["l2_ratio"] = float("nan")
+        row["modnorm_ratio"] = float("nan")
         if gspec is not None and ft is not None:
-            ftg = sample(ft, gspec)
-            row["modnorm_ratio"] = discrete_modnorm(ftg, f0, p=p, q=qq, s=s) / base
-        else:
-            row["modnorm_ratio"] = float("nan")
+            try:
+                ftg = sample(ft, gspec)
+                row["modnorm_ratio"] = discrete_modnorm(ftg, f0, p=p, q=qq, s=s) / base
+            except NumericalError:
+                pass
         rows.append(row)
     return rows
 

@@ -236,12 +236,10 @@ def gaussian_integral(M, z):
 def shift(f, z, tau=0.0):
     """Time-frequency shift ``e^{2 pi i tau} e^{-i pi x0.xi0} e^{2 pi i xi0.y} f(y - x0)``
     with real phase-space point ``z = (x0, xi0)``."""
-    if isinstance(f, list):
-        return [shift(t, z, tau) for t in f]
     z = np.asarray(z, dtype=float)
-    d = f.d
-    if z.shape != (2 * d,):
+    if any(z.shape != (2 * t.d,) for t in _terms(f)):
         raise ValidationError("shift expects a real phase-space point of length 2d")
+    d = z.size // 2
     return complex_shift(f, z[:d], z[d:], tau)
 
 
@@ -250,12 +248,20 @@ def complex_shift(f, zx, zw, tau=0.0):
 
     The parameters may be complex; with ``w = xi0``, ``z = x0`` real this is
     :func:`shift`.  Completing the square in the exponent gives the exact
-    parameter update.
+    parameter update.  Non-finite parameters are a :class:`ValidationError`,
+    and a shift whose new state overflows is a :class:`NumericalError`.
     """
-    if isinstance(f, list):
-        return [complex_shift(t, zx, zw, tau) for t in f]
     zx = np.atleast_1d(np.asarray(zx, dtype=complex))
     zw = np.atleast_1d(np.asarray(zw, dtype=complex))
+    if not (np.isfinite(zx).all() and np.isfinite(zw).all() and np.isfinite(tau)):
+        raise ValidationError("shift parameters must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [_shift_term(t, zx, zw, tau) for t in _terms(f)]
+    return out if isinstance(f, list) else out[0]
+
+
+def _shift_term(f, zx, zw, tau):
+    """:func:`complex_shift` of one state by finite parameters."""
     b = f.b + zw - f.Q @ zx
     c = f.c * np.exp(2j * np.pi * tau
                      - 1j * np.pi * zx @ zw
@@ -263,6 +269,8 @@ def complex_shift(f, zx, zw, tau=0.0):
                      - 2j * np.pi * f.b @ zx)
     if b.shape != (f.d,):
         raise ValidationError(f"state shape mismatch: d={f.d}, Q {f.Q.shape}, b {b.shape}")
+    if not (np.isfinite(c) and np.isfinite(b).all()):
+        raise NumericalError("shifted state overflows")
     # Q is unchanged, so f's checks on it still hold
     return GaussianState._from_valid(f.d, complex(c), f.Q, b, f.allow_degenerate)
 
@@ -379,7 +387,7 @@ def _act(ABCD, c, Q, b, degenerate):
     except np.linalg.LinAlgError:
         raise DecompositionError("matrix action is singular on the ground state")
     mod = np.abs(lam)
-    if (mod.min(axis=1) < 1e-10 * mod.max(axis=1, initial=1.0)).any():
+    if (mod.min(axis=1) < 1e-10 * mod.max(axis=1, initial=1.0)).any():  # negligible, per term
         raise DecompositionError("matrix action is singular on this state")
     Qp = np.linalg.solve(T.transpose(0, 2, 1), N.transpose(0, 2, 1))
     Qp = Qp.transpose(0, 2, 1) / 2 + Qp / 2
@@ -467,7 +475,8 @@ def check_intertwining(word, z, tau, f):
     (generally complex) image ``S z`` under the word's matrix.  The two are
     equal as operators, so the parameters of the resulting sums must match
     term by term, phases included.  Returns the largest relative discrepancy
-    over parameters and over pointwise samples.
+    over parameters and over pointwise samples; a discrepancy that is not
+    finite (a route overflowed) is a :class:`NumericalError`.
     """
     terms = _terms(f)
     d = _sum_dim(terms)
@@ -475,24 +484,30 @@ def check_intertwining(word, z, tau, f):
     S = word_to_matrix(word)
     if word_dim(word) != d or z.shape != (2 * d,):
         raise ValidationError("word, state, and shift dimensions must agree")
-    Sz = S @ z
+    shifted = shift(terms, z, tau)
+    # an overflow anywhere below ends in a discrepancy that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        Sz = S @ z
+        if not np.isfinite(Sz).all():
+            raise NumericalError("image of the shift under the word overflows")
+        # both routes share one stack through the word: the shifted terms,
+        # then the terms themselves
+        both = apply_word(word, shifted + terms)
+        left = both[:len(terms)]
+        right = complex_shift(both[len(terms):], Sz[:d], Sz[d:], tau)
 
-    # both routes share one stack through the word: the shifted terms, then
-    # the terms themselves
-    both = apply_word(word, shift(terms, z, tau) + terms)
-    left = both[:len(terms)]
-    right = complex_shift(both[len(terms):], Sz[:d], Sz[d:], tau)
+        parts = []
+        for lt, rt in zip(left, right):
+            parts.append(np.linalg.norm(lt.Q - rt.Q) / max(1.0, np.linalg.norm(lt.Q)))
+            parts.append(np.linalg.norm(lt.b - rt.b) / max(1.0, np.linalg.norm(lt.b)))
+            parts.append(np.abs(lt.c - rt.c) / max(1.0, np.abs(lt.c)))
 
-    res = 0.0
-    for lt, rt in zip(left, right):
-        res = max(res, np.linalg.norm(lt.Q - rt.Q) / max(1.0, np.linalg.norm(lt.Q)))
-        res = max(res, np.linalg.norm(lt.b - rt.b) / max(1.0, np.linalg.norm(lt.b)))
-        res = max(res, abs(lt.c - rt.c) / max(1.0, abs(lt.c)))
-
-    ts = np.linspace(-1.5, 1.5, 7)
-    dirs = [np.ones(d), np.eye(d)[0]]
-    pts = np.concatenate([np.outer(ts, v) for v in dirs], axis=0)
-    lv = eval_state(left, pts)
-    rv = eval_state(right, pts)
-    res = max(res, float(np.max(np.abs(lv - rv)) / max(1.0, float(np.max(np.abs(lv))))))
-    return float(res)
+        ts = np.linspace(-1.5, 1.5, 7)
+        dirs = [np.ones(d), np.eye(d)[0]]
+        pts = np.concatenate([np.outer(ts, v) for v in dirs], axis=0)
+        lv = eval_state(left, pts)
+        rv = eval_state(right, pts)
+        parts.append(np.max(np.abs(lv - rv)) / max(1.0, np.max(np.abs(lv))))
+    if not np.isfinite(parts).all():
+        raise NumericalError("intertwining residual is not finite")
+    return float(max(parts))

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import UnsupportedRescale, ValidationError
+from .errors import NumericalError, UnsupportedRescale, ValidationError
 from .gausscalc import eval_state
-from .sympcore import Token, factor_R_theta, word_dim
+from .sympcore import Token, factor_R_theta, negligible, word_dim
 
 __all__ = [
     "GridSpec",
@@ -113,16 +113,20 @@ def norm2(f):
 
 def sample(f, spec):
     """Sample a Gaussian state/sum on a grid, warning when the tails are not
-    negligible at the boundary (the DFT then aliases them)."""
-    vals = eval_state(f, spec.points())
-    peak = float(np.max(np.abs(vals)))
+    negligible at the boundary (the DFT then aliases them).  A grid so wide
+    that the exponent overflows raises :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_state(f, spec.points())
+    peak = float(np.max(np.abs(vals)))  # inf or nan if any sample is
+    if not np.isfinite(peak):
+        raise NumericalError("samples of the state overflow on this grid")
     if peak > 0:
         if spec.d == 1:
             edge = max(abs(vals[0]), abs(vals[-1]))
         else:
             edge = max(float(np.max(np.abs(vals[0, :]))), float(np.max(np.abs(vals[-1, :]))),
                        float(np.max(np.abs(vals[:, 0]))), float(np.max(np.abs(vals[:, -1]))))
-        if edge > 1e-12 * peak:
+        if edge > 1e-12 * peak:  # the samples' dynamic range, at any size: no floor
             warnings.warn("state is not negligible at the grid boundary; "
                           "sampled transforms will alias", stacklevel=2)
     return GridFn(spec, vals)
@@ -202,17 +206,16 @@ def _apply_rescale(f, E, maslov):
     if spec.d == 1:
         factors = [E[0, 0]]
     else:
-        scale = max(1.0, float(np.max(np.abs(E))))
-        if abs(E[0, 1]) + abs(E[1, 0]) <= 1e-12 * scale:
+        if negligible(abs(E[0, 1]) + abs(E[1, 0]), np.abs(E).max(), 1e-12):
             factors = [E[0, 0], E[1, 1]]
-        elif abs(E[0, 0]) + abs(E[1, 1]) <= 1e-12 * scale:
+        elif negligible(abs(E[0, 0]) + abs(E[1, 1]), np.abs(E).max(), 1e-12):
             # f(E x) with antidiagonal E factors through an axis swap followed by
             # the diagonal rescale diag(E[1,0], E[0,1])
             v = v.T
             factors = [E[1, 0], E[0, 1]]
         else:
             raise UnsupportedRescale("2-d grids support diagonal or antidiagonal rescales only")
-        if abs(abs(factors[0]) - abs(factors[1])) > 1e-12 * abs(factors[0]):
+        if abs(abs(factors[0]) - abs(factors[1])) > 1e-12 * abs(factors[0]):  # a ratio
             raise UnsupportedRescale("2-d grids carry one spacing: both rescale "
                                      "factors need the same magnitude")
     parity = (-np.arange(spec.n)) % spec.n
@@ -318,10 +321,14 @@ def grid_stft(f, g):
     return GridFn(GridSpec(2, n, h), V)
 
 
-def _lp_axis(M, p, weight, axis):
+def _lp_axis(M, p, weight):
+    """Weighted ``l^p`` norm of nonnegative ``M`` over its first axis, taken
+    of ``M`` divided by its largest entry, whose powers cannot overflow."""
+    top = np.max(M, axis=0)
     if np.isinf(p):
-        return np.max(M, axis=axis)
-    return (np.sum(M ** p, axis=axis) * weight) ** (1.0 / p)
+        return top
+    scaled = np.divide(M, top, out=np.zeros_like(M), where=top > 0)
+    return top * (np.sum(scaled ** p, axis=0) * weight) ** (1.0 / p)
 
 
 def require_indices(p, q, s):
@@ -348,6 +355,9 @@ def discrete_modnorm(f, g, p=1.0, q=None, s=0.0):
     exactly ``h (sum_k |f_k|^2 G_k)^{1/2}``, where ``G_k`` sums ``|g_j|^2``
     over ``j = max(0, k-n/2+1) .. min(n-1, k+n/2)``: O(n) work from one prefix
     sum of ``|g|^2``.
+
+    A norm that overflows, or underflows to zero from a nonzero transform,
+    raises :class:`NumericalError`.
     """
     if q is None:
         q = p
@@ -364,12 +374,16 @@ def discrete_modnorm(f, g, p=1.0, q=None, s=0.0):
     V = grid_stft(f, g)
     n, h = V.spec.n, V.spec.h
     M = np.abs(V.values)
-    if s != 0:
-        x = V.spec.axis()
-        M *= (1.0 + x[:, None] ** 2 + x[None, :] ** 2) ** (s / 2.0)
-    inner = _lp_axis(M, p, h, axis=0)          # over x, for each xi
-    outer = _lp_axis(inner, q, 1.0 / (n * h), axis=0)
-    return float(outer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s != 0:
+            x = V.spec.axis()
+            M *= (1.0 + x[:, None] ** 2 + x[None, :] ** 2) ** (s / 2.0)
+        inner = _lp_axis(M, p, h)          # over x, for each xi
+        outer = float(_lp_axis(inner, q, 1.0 / (n * h)))
+    if not np.isfinite(outer) or (outer == 0 and M.any()):
+        raise NumericalError(f"modulation norm at p = {p}, q = {q}, s = {s} "
+                             "leaves the floating-point range")
+    return outer
 
 
 def contraction_check(word, f):

@@ -22,8 +22,9 @@ for complex entries).  The central objects are:
   block-shape classifiers that certify positivity from triangular or
   conjugation-symmetric structure.
 
-All tolerances are relative: a quantity is "zero" when it is small compared
-to the scale of its inputs.
+A quantity vanishes by one relative rule (:func:`negligible`): ``x`` is zero
+against a scale ``s`` at ``tol`` when ``||x|| <= tol * max(1, ||s||)``; an
+eigenvalue sign has the like margin against the spectrum (:func:`semidefinite`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "is_symplectic",
     "require_symplectic",
     "sym_part",
+    "negligible",
     "semidefinite",
     "positivity_matrix",
     "PositivityReport",
@@ -111,14 +113,8 @@ def from_blocks(A, B, C, D):
 
 
 def is_symplectic(S):
-    """Test ``S^T J S = J`` in relative Frobenius norm.
-
-    Parameters
-    ----------
-    S : (2d, 2d) array_like
-        Matrix to test.  The defect is compared against
-        ``1e-10 * max(1, ||S||_F^2)``, since it is quadratic in S.
-    """
+    """Test ``S^T J S = J``: the defect must be :func:`negligible` against
+    ``||S||_F^2`` at ``1e-10``, since it is quadratic in ``S``."""
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     if S.ndim != 2 or S.shape[1] != n or n % 2:
@@ -127,10 +123,8 @@ def is_symplectic(S):
     # an overflowing entry makes the defect or the scale inf or nan, and
     # nothing then certifies the identity
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.linalg.norm(S.T @ J @ S - J)
         scale = np.linalg.norm(S) ** 2
-    return bool(np.isfinite(defect) and np.isfinite(scale)
-                and defect <= 1e-10 * max(1.0, scale))
+        return bool(np.isfinite(scale) and negligible(S.T @ J @ S - J, scale, 1e-10))
 
 
 def require_symplectic(S, what="matrix"):
@@ -151,10 +145,12 @@ def sym_part(M, what, tol=1e-8):
     result finite.  In a stack each member has its own divisor and verdict,
     and the first member that fails names its defect."""
     M = np.asarray(M)
-    half = M / 2
-    top = np.abs(half).max(axis=(-2, -1), keepdims=True, initial=1.0)
-    with np.errstate(invalid="ignore"):  # an inf entry scales to nan
-        Mn = M / top
+    # an inf entry halves, scales and sums to nan, which the callers' own
+    # checks reject
+    with np.errstate(invalid="ignore"):
+        half = M / 2
+        Mn = M / np.abs(half).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        out = half + half.swapaxes(-1, -2)
     E = Mn - Mn.swapaxes(-1, -2)
     # each member's bar is at least tol, so a stack whose whole defect is
     # below tol passes without the member-by-member norms (a nan defect
@@ -164,7 +160,17 @@ def sym_part(M, what, tol=1e-8):
         bad = asym > tol * np.maximum(1.0, np.sqrt(np.einsum("...ij,...ij->...", Mn, Mn.conj()).real))
         if bad.any():
             raise ValidationError(f"{what} is not symmetric (relative defect {asym[bad][0]:.2e})")
-    return half + half.swapaxes(-1, -2)
+    return out
+
+
+def negligible(x, scale, tol):
+    """The one relative-tolerance rule, ``||x|| <= tol * max(1, ||scale||)``
+    (Frobenius norm of an array, modulus of a number; a nan ``x`` fails)."""
+    return bool(_size(x) <= tol * max(1.0, _size(scale)))
+
+
+def _size(a):
+    return np.linalg.norm(a) if isinstance(a, np.ndarray) else abs(a)
 
 
 def semidefinite(H, tol, definite=False, size=None):
@@ -200,9 +206,9 @@ def _real_invertible(M, tol):
     top = max(1.0, np.abs(M.real).max(), np.abs(M.imag).max())
     with np.errstate(invalid="ignore"):  # an inf entry scales to nan: not real
         Mn = M / top
-    real = bool(np.linalg.norm(Mn.imag) <= tol * max(1.0, np.linalg.norm(Mn)))
+    real = negligible(Mn.imag, Mn, tol)
     sv = np.linalg.svd(M.real if real else M, compute_uv=False)
-    return real, bool(sv[-1] > tol * max(1.0, sv[0]))
+    return real, not negligible(sv[-1], sv[0], tol)
 
 
 # ----------------------------------------------------------------------------
@@ -260,20 +266,19 @@ class PositivityReport:
 def classify_positivity(S):
     """Classify ``S`` against the positive cone.
 
-    The order of checks: symplecticity; realness (``||Im S|| <= 1e-9 ||S||``;
-    real symplectic matrices have a vanishing certificate and unitary
-    quantization); then the sign of the smallest certificate eigenvalue with
-    relative margin ``1e-9 * ||M||_2``.
+    The order of checks: symplecticity; realness (``Im S`` negligible against
+    ``S`` at ``1e-9``; real symplectic matrices have a vanishing certificate
+    and unitary quantization); then the sign of the smallest certificate
+    eigenvalue with relative margin ``1e-9 * ||M||_2``.
     """
     S = np.asarray(S, dtype=complex)
     if not is_symplectic(S):
         return PositivityReport("NotSymplectic")
-    normS = max(1.0, np.linalg.norm(S))
     M = positivity_matrix(S)
     w = np.linalg.eigvalsh(M)
     mn = float(w[0])
-    margin = 1e-9 * float(np.max(np.abs(w))) if w.size else 0.0
-    if np.linalg.norm(S.imag) <= 1e-9 * normS:
+    margin = 1e-9 * float(np.max(np.abs(w))) if w.size else 0.0  # own spectrum, no floor
+    if negligible(S.imag, S, 1e-9):
         return PositivityReport("Real", mn, margin)
     if mn > margin:
         return PositivityReport("StrictlyPositive", mn, margin)
@@ -306,21 +311,22 @@ def schur_psd_test(M):
         raise ValidationError("schur_psd_test expects an even-dimensional matrix")
     m = n // 2
     P, Q, R = M[:m, :m], M[:m, m:], M[m:, m:]
-    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    normM = float(np.linalg.norm(M, 2))
 
-    wP = np.linalg.eigvalsh((P + P.T) / 2)
-    block_psd = bool(wP[0] >= -1e-10 * scale)
+    def psd(w):  # the smallest eigenvalue is nonnegative or negligible
+        return bool(w[0] >= 0 or negligible(w[0], normM, 1e-10))
+
+    block_psd = psd(np.linalg.eigvalsh((P + P.T) / 2))
 
     Pp = np.linalg.pinv(P, rcond=1e-10)
-    range_ok = bool(np.linalg.norm(Q - P @ Pp @ Q) <= 1e-5 * scale)
+    range_ok = negligible(Q - P @ Pp @ Q, normM, 1e-5)
 
     Sc = R - Q.T @ Pp @ Q
-    wS = np.linalg.eigvalsh((Sc + Sc.T) / 2)
-    schur_ok = bool(wS[0] >= -1e-10 * scale)
+    schur_ok = psd(np.linalg.eigvalsh((Sc + Sc.T) / 2))
 
     verdict = block_psd and range_ok and schur_ok
     w = np.linalg.eigvalsh(M)
-    direct = bool(w[0] >= -1e-10 * scale)
+    direct = psd(w)
     cert = {
         "psd": verdict,
         "block_psd": block_psd,
@@ -636,6 +642,7 @@ def matrix_polar(S):
     try:
         for _ in range(100):
             X, X_old = (X + J.T @ np.linalg.inv(X).T @ J) / 2, X
+            # the iterate nears a symplectic matrix, of norm >= 1: no floor
             if np.linalg.norm(X - X_old) <= 1e-9 * np.linalg.norm(X):
                 break
         else:
@@ -685,7 +692,8 @@ def _williamson(P):
     Zs = np.sqrt(2) * np.stack([E.imag, E.real], axis=2).reshape(n, n)
     T = Zs.T @ K @ Zs
     kappa = np.array([T[j, j + 1] for j in range(0, n, 2)])
-    if np.any(kappa <= 1e-9 * max(1.0, float(np.max(np.abs(kappa))))):
+    top = float(np.max(np.abs(kappa)))
+    if any(k <= 0 or negligible(k, top, 1e-9) for k in kappa):
         raise DecompositionError("normal form pairing degenerated")
     lam = 1.0 / kappa
 
@@ -700,10 +708,9 @@ def _williamson(P):
     lam = lam[order]
     V = V[np.r_[order, order + d], :]
 
-    scale = max(1.0, float(np.linalg.norm(P)))
-    if np.linalg.norm(V.T @ np.diag(np.r_[lam, lam]) @ V - P) > 1e-6 * scale:
+    if not negligible(V.T @ np.diag(np.r_[lam, lam]) @ V - P, P, 1e-6):
         raise DecompositionError("normal form reconstruction failed")
-    if np.linalg.norm(V @ J @ V.T - J) > 1e-6 * max(1.0, np.linalg.norm(V) ** 2):
+    if not negligible(V @ J @ V.T - J, np.linalg.norm(V) ** 2, 1e-6):
         raise DecompositionError("normal form produced a non-symplectic frame")
     return lam, V
 
@@ -743,9 +750,9 @@ def atomic_decompose(Z):
 
     w = np.linalg.eigvalsh(P)
     scaleP = float(np.max(np.abs(w))) if w.size else 0.0
-    if scaleP <= 1e-9 * max(1.0, np.linalg.norm(Z)):
+    if negligible(scaleP, Z, 1e-9):
         V, theta, delta = np.eye(n), np.zeros(d), np.zeros(d)
-    elif w[0] < -1e-9 * scaleP:
+    elif w[0] < -1e-9 * scaleP:  # P is not zero: against its own spectrum
         raise DecompositionError("J Im Z is not positive semidefinite")
     elif w[0] > 1e-9 * scaleP:
         lam, V = _williamson(P)
@@ -762,7 +769,7 @@ def atomic_decompose(Z):
             "a singular form J Im Z is only supported in dimension one")
 
     back = np.linalg.inv(V) @ atom_matrix(theta, delta) @ V
-    if np.linalg.norm(back - Z) > 1e-5 * max(1.0, np.linalg.norm(Z)):
+    if not negligible(back - Z, Z, 1e-5):
         raise DecompositionError("atomic reconstruction failed its residual check")
     return V, theta, delta
 
@@ -791,10 +798,10 @@ def symplectic_svd(U):
         raise DecompositionError("Gram matrix is not positive definite")
     # L has the eigenvectors Q and the ascending eigenvalues log(w)/2
     mu, E = 0.5 * np.log(w), Q
-    scale = max(1.0, float(np.max(np.abs(mu))))
+    top = float(np.max(np.abs(mu)))
 
-    pos = [i for i in range(n) if mu[i] > 1e-9 * scale][::-1]      # descending
-    ker = [i for i in range(n) if abs(mu[i]) <= 1e-9 * scale]
+    ker = [i for i in range(n) if negligible(mu[i], top, 1e-9)]
+    pos = [i for i in range(n) if mu[i] > 0 and i not in ker][::-1]      # descending
     if len(pos) + len(ker) // 2 != d or len(ker) % 2:
         raise DecompositionError("eigenvalue pairing of the symplectic SVD failed")
 
@@ -822,7 +829,7 @@ def symplectic_svd(U):
     W = U @ Om * Dinv[None, :]
 
     recon = (W * np.r_[sig, 1.0 / sig][None, :]) @ Om.T
-    if np.linalg.norm(recon - U) > 1e-6 * max(1.0, np.linalg.norm(U)):
+    if not negligible(recon - U, U, 1e-6):
         raise DecompositionError("symplectic SVD reconstruction failed")
     for F in (W, Om):
         if np.linalg.norm(F.T @ F - np.eye(n)) > 1e-6:
@@ -853,9 +860,8 @@ def classify_block_triangular(S):
     """
     S = require_symplectic(S)
     A, B, C, D = blocks(S)
-    scale = max(1.0, np.linalg.norm(S))
-    b_zero = np.linalg.norm(B) <= 1e-9 * scale
-    c_zero = np.linalg.norm(C) <= 1e-9 * scale
+    normS = np.linalg.norm(S)
+    b_zero, c_zero = negligible(B, normS, 1e-9), negligible(C, normS, 1e-9)
     if not (b_zero or c_zero):
         raise NotTriangular("neither off-diagonal block vanishes")
 
@@ -910,8 +916,8 @@ def classify_conjugation_commuting(S):
         If ``S`` is not fixed by the tilde involution.
     """
     S = require_symplectic(S)
-    scale = max(1.0, np.linalg.norm(S))
-    if np.linalg.norm(S - tilde(S)) > 1e-9 * scale:
+    normS = np.linalg.norm(S)
+    if not negligible(S - tilde(S), normS, 1e-9):
         raise NotConjugationSymmetric("matrix is not fixed by the conjugation symmetry")
     A, B, C, D = blocks(S)
 
@@ -939,7 +945,7 @@ def classify_conjugation_commuting(S):
         Qc = sym_part(C @ Ainv, "synthesized chirp parameter", tol=1e-6)
         Pm = sym_part(Ainv @ B, "synthesized multiplier parameter", tol=1e-6)
         word = [chirp(Qc), rescale(Ainv), multiplier(Pm)]
-        resid = float(np.linalg.norm(word_to_matrix(word) - S) / scale)
+        resid = float(np.linalg.norm(word_to_matrix(word) - S) / max(1.0, normS))
         report["word"] = word
         report["synthesis_residual"] = resid
     return report

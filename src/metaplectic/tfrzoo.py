@@ -36,6 +36,7 @@ from .sympcore import (
     from_blocks,
     is_symplectic,
     multiplier,
+    negligible,
     rescale,
     require_symplectic,
     semidefinite,
@@ -142,12 +143,11 @@ def is_covariant(spec):
         spec = TFRSpec(np.asarray(spec).shape[0] // 4, spec)
     A = spec.A
     A11, A13, A21 = _params(A, spec.d)
-    scale = max(1.0, np.linalg.norm(A))
+    normA = np.linalg.norm(A)
     clauses = {
-        "blocks_match_pattern": bool(
-            np.linalg.norm(A - _covariant_matrix(A11, A13, A21)) <= 1e-9 * scale),
-        "a13_symmetric": bool(np.linalg.norm(A13 - A13.T) <= 1e-9 * scale),
-        "a21_symmetric": bool(np.linalg.norm(A21 - A21.T) <= 1e-9 * scale),
+        "blocks_match_pattern": negligible(A - _covariant_matrix(A11, A13, A21), normA, 1e-9),
+        "a13_symmetric": negligible(A13 - A13.T, normA, 1e-9),
+        "a21_symmetric": negligible(A21 - A21.T, normA, 1e-9),
     }
     if all(clauses.values()):
         clauses["symbol_signature"] = semidefinite(-symbol_exponent(spec).imag, 1e-9)
@@ -180,8 +180,7 @@ def cohen_kernel(spec):
     """
     _covariant_params(spec)
     B = symbol_exponent(spec)
-    scale = max(1.0, np.linalg.norm(spec.A))
-    if np.linalg.norm(B) <= 1e-12 * scale:
+    if negligible(B, spec.A, 1e-12):
         return {"type": "delta"}
     if semidefinite(-B.imag, 1e-10, definite=True):
         Q = np.linalg.inv(B)
@@ -252,15 +251,13 @@ def classify_spectrogram(spec):
     A11, A13, A21 = _covariant_params(spec)
     d = spec.d
     sv = np.linalg.svd(A13, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+    if negligible(sv[-1], sv[0], 1e-12):
         raise UnsupportedSingularBlock("window extraction needs invertible A13")
     X = np.linalg.inv(A13)
     I = np.eye(d)
-    scale = max(1.0, np.linalg.norm(A11), np.linalg.norm(A21), np.linalg.norm(X))
-
-    consistency = np.linalg.norm(A21 + A11.T @ X @ (A11 - I)) <= 1e-8 * scale ** 2
+    top = max(np.linalg.norm(A11), np.linalg.norm(A21), np.linalg.norm(X))
     clauses = {
-        "window_consistency": bool(consistency),
+        "window_consistency": negligible(A21 + A11.T @ X @ (A11 - I), top ** 2, 1e-8),
         "window_decay_f": semidefinite((A11.T @ X).imag, 1e-8),
         "window_decay_g": semidefinite(-(X @ (A11 - I)).imag, 1e-8),
     }
@@ -301,17 +298,15 @@ def classify_pure_spectrogram(spec):
     A11, A13, A21 = _covariant_params(spec)
     d = spec.d
     I = np.eye(d)
-    scale = max(1.0, np.linalg.norm(A11), np.linalg.norm(A13), np.linalg.norm(A21))
+    top = max(np.linalg.norm(A11), np.linalg.norm(A13), np.linalg.norm(A21))
 
-    re_half = np.linalg.norm(A11.real - I / 2) <= 1e-8 * scale
-    a13_imag = (np.linalg.norm(A13.real) <= 1e-8 * scale) \
-        and semidefinite(-A13.imag, 0.0, definite=True)
-    clauses = {"re_a11_half": bool(re_half), "a13_imaginary": bool(a13_imag)}
+    a13_imag = negligible(A13.real, top, 1e-8) and semidefinite(-A13.imag, 0.0, definite=True)
+    clauses = {"re_a11_half": negligible(A11.real - I / 2, top, 1e-8),
+               "a13_imaginary": a13_imag}
     if a13_imag:
         X = np.linalg.inv(A13)
         target = X / 4 + A11.imag.T @ X @ A11.imag
-        clauses["a21_consistency"] = bool(
-            np.linalg.norm(A21 - target) <= 1e-8 * max(1.0, np.linalg.norm(target)))
+        clauses["a21_consistency"] = negligible(A21 - target, target, 1e-8)
     else:
         clauses["a21_consistency"] = False
 
@@ -320,12 +315,12 @@ def classify_pure_spectrogram(spec):
         return report
 
     kappa = det_pow(1j * A13, -0.5)
-    if abs(kappa.imag) > 1e-10 * abs(kappa) or kappa.real <= 0:
+    if abs(kappa.imag) > 1e-10 * abs(kappa) or kappa.real <= 0:  # a phase: no floor
         raise ModelError("pure spectrogram amplitude must be positive")
     q = X @ (A11 - I)
     q = (q + q.T) / 2
     q_alt = np.conj(X @ A11)
-    if np.linalg.norm(q - (q_alt + q_alt.T) / 2) > 1e-8 * max(1.0, np.linalg.norm(q)):
+    if not negligible(q - (q_alt + q_alt.T) / 2, q, 1e-8):
         raise ModelError("pure spectrogram windows failed to coincide")
     c = _principal_sqrt(kappa)
     report["window"] = GaussianState(d, c, -q, np.zeros(d))
@@ -402,7 +397,7 @@ def _require_real_word(word, what):
             continue
         if t.op in ("chirp", "multiplier"):
             M = t.matrix_param()
-            if np.linalg.norm(M.imag) <= 1e-12 * max(1.0, np.linalg.norm(M)):
+            if negligible(M.imag, M, 1e-12):
                 continue
         raise ValidationError(f"{what} must consist of real-parameter tokens; "
                               "atoms belong to the middle factor")

@@ -429,3 +429,85 @@ def test_evolve_rejects_indices_outside_domain(runner, args):
     _exits_cleanly(r, 1)
     assert r.stderr.startswith("validation error:")
     assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("z, tau", [("1,nan", None), ("1,0", "inf"), ("inf,0", None)])
+def test_intertwine_rejects_nonfinite_shift(runner, files, z, tau):
+    # a NaN shift printed a perfect residual of 0.0 and exited 0
+    args = ["gaussian", "intertwine", "--word", files["word.json"],
+            "--state", files["state.json"], "--z", z]
+    r = runner.invoke(main, args + (["--tau", tau] if tau else []))
+    _exits_cleanly(r, 1)
+    assert "shift parameters must be finite" in r.stderr
+
+
+def test_intertwine_overflow_is_numerical_error(runner, files):
+    r = runner.invoke(main, ["gaussian", "intertwine", "--word", files["word.json"],
+                             "--state", files["state.json"], "--z", "1e200,0"])
+    _exits_cleanly(r, 3)
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--example", "heat"],
+    ["gaussian", "apply", "--format", "csv"],
+])
+@pytest.mark.parametrize("option", [["--grid-n", "3"], ["--grid-n", "2"], ["--grid-n", "0"],
+                                    ["--grid-n", "-4"], ["--grid-n", "7"]])
+def test_grid_size_out_of_range_is_usage_error(runner, files, command, option):
+    # exited 1, and at zero or below printed a RuntimeWarning first
+    if command[0] == "gaussian":
+        command = command + ["--word", files["word.json"], "--state", files["state.json"]]
+    r = runner.invoke(main, command + option)
+    _exits_cleanly(r, 2)
+    assert "must be even and at least 4" in r.stderr
+    assert "Warning" not in r.stderr
+
+
+@pytest.mark.parametrize("h", ["0", "-0.5", "nan", "inf"])
+def test_grid_spacing_out_of_range_is_usage_error(runner, files, h):
+    # --grid-h 0 was silently replaced by the self-dual default
+    r = runner.invoke(main, ["gaussian", "apply", "--word", files["word.json"],
+                             "--state", files["state.json"], "--format", "csv",
+                             "--grid-n", "16", "--grid-h", h])
+    _exits_cleanly(r, 2)
+    assert "must be positive and finite" in r.stderr
+
+
+def test_grid_spacing_is_used_as_given(runner, files):
+    r = runner.invoke(main, ["gaussian", "apply", "--word", files["word.json"],
+                             "--state", files["state.json"], "--format", "csv",
+                             "--grid-n", "4", "--grid-h", "0.125"])
+    assert r.exit_code == 0, r.output
+    assert [float(line.split(",")[1]) for line in r.stdout.splitlines()[1:]] == \
+        [-0.25, -0.125, 0.0, 0.125]
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan", "-1", "-inf"])
+def test_evolve_time_out_of_range_is_usage_error(runner, t_max):
+    # inf and nan gave all-NaN rows and exit 0; -1 exited 1 with a message
+    # about a decaying state
+    r = runner.invoke(main, ["evolve", "--example", "heat", "--t-max", t_max])
+    _exits_cleanly(r, 2)
+    assert "must be finite and nonnegative" in r.stderr
+
+
+def test_evolve_extreme_indices_exit_cleanly(runner):
+    # an index or weight that drives a bound or the grid norm out of the
+    # float range ended in a ZeroDivisionError or OverflowError traceback
+    def run(*option):
+        return runner.invoke(main, ["evolve", "--example", "hermite", "--t-max", "1",
+                                    "--t-steps", "2", "--grid-n", "16", *option])
+    for option in (["--p", "1e300"], ["--q", "1e5"]):
+        r = run(*option)
+        assert r.exit_code == 0, (option, r.output)
+        assert all(np.isfinite(float(v)) for line in r.stdout.splitlines()[1:]
+                   for v in line.split(","))
+    # a bound beyond the float range is a NaN cell of its row
+    r = run("--s", "312")
+    assert r.exit_code == 0, r.output
+    assert [line.split(",")[5] for line in r.stdout.splitlines()[1:]] == ["nan", "nan"]
+    # a grid norm of the initial state beyond the float range ends the sweep
+    for option in (["--s", "1e5"], ["--p", "1e-300"]):
+        r = run(*option)
+        _exits_cleanly(r, 3)
+        assert "leaves the floating-point range" in r.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from metaplectic.errors import UnsupportedShape, ValidationError
+from metaplectic.errors import NumericalError, UnsupportedShape, ValidationError
 from metaplectic.evoprop import (EVOLVE_COLUMNS, QuadraticHamiltonian, _expm,
                                  _laguerre_rule, c_weight, combined_bound, cone_profile,
                                  evolve_trajectory, hamilton_map,
@@ -370,3 +370,15 @@ def test_cone_profile_rejects_zero_direction():
     W = grid_wigner(sample(standard_gaussian(1), spec))
     with pytest.raises(ValidationError):
         cone_profile(W, np.zeros(2), 0.5)
+
+
+def test_bounds_beyond_float_range_are_numerical_errors():
+    # Python float powers raised OverflowError here, and numpy's warned
+    U = np.diag([3.0, 1 / 3.0])
+    for call in (lambda: c_weight(1e5), lambda: mod_norm_bound_U(U, s=1e5),
+                 lambda: mod_norm_bound_U(U, p=1e-300, q=1.0),
+                 lambda: mod_norm_bound_Z(matrix_polar(atom_matrix([0.5], [0.0])).Z, s=1e5)):
+        with pytest.raises(NumericalError, match="floating-point range"):
+            call()
+    assert mod_norm_bound_U(U, s=300.0) == pytest.approx(
+        mod_norm_bound_U(U) * 3.0 ** 600, rel=1e-12)

@@ -641,3 +641,45 @@ def test_decay_margin_is_relative_below_size_one():
     assert GaussianState(1, 1, [[1.5e308 + 1.5e308j]], [0]).Q[0, 0].imag == 1.5e308
     with pytest.raises(ValidationError, match="positive definite"):
         GaussianState(2, 1, np.diag([1e-3j, 1e-20j]), [0, 0])
+
+
+@pytest.mark.parametrize("z, tau", [([1.0, np.nan], 0.0), ([np.inf, 0.0], 0.0),
+                                    ([1.0, 0.0], np.inf), ([1.0, 0.0], np.nan)])
+def test_shift_rejects_nonfinite_parameters(z, tau):
+    # a NaN shift used to report a perfect residual of 0.0
+    g = standard_gaussian(1)
+    with pytest.raises(ValidationError):
+        shift(g, z, tau)
+    with pytest.raises(ValidationError):
+        complex_shift(g, [z[0]], [z[1]], tau)
+    with pytest.raises(ValidationError):
+        check_intertwining([fourier(1)], z, tau, g)
+
+
+@pytest.mark.parametrize("z", [[1e200, 0.0], [0.0, 1e200], [30.0, 0.0], [0.0, 1e308]])
+def test_intertwining_residual_that_overflows_is_numerical_error(z):
+    # these ended in numpy overflow warnings and a residual of 0.0, or (at
+    # [30, 0]) in a raw OverflowError from abs of a huge complex amplitude;
+    # the suite turns any RuntimeWarning into a failure
+    with pytest.raises(NumericalError):
+        check_intertwining([fourier(1)], z, 0.0, standard_gaussian(1))
+
+
+def test_shift_that_overflows_is_numerical_error():
+    with pytest.raises(NumericalError, match="overflows"):
+        shift(standard_gaussian(1), [1e308, 1e308], 0.0)
+    with pytest.raises(NumericalError, match="overflows"):
+        complex_shift(standard_gaussian(1), [1e200j], [0.0])
+
+
+@pytest.mark.parametrize("Q", [[[1 + 1j, np.inf], [np.inf, 2]], [[1j, np.inf], [-np.inf, 1j]],
+                               [[np.nan, 0], [0, 1j]], [[complex(np.inf, np.inf), 0], [0, 1j]]])
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_state_with_infinite_entry_is_rejected_without_warning(Q, degenerate):
+    # sym_part halved its input before its errstate guard, so an inf entry
+    # warned "invalid value encountered in divide" instead of being rejected
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            GaussianState(2, 1, Q, [0, 0], allow_degenerate=degenerate)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from metaplectic.errors import UnsupportedRescale, ValidationError
+from metaplectic.errors import NumericalError, UnsupportedRescale, ValidationError
 from metaplectic.gausscalc import (GaussianState, apply_word, inner_product,
                                    norm, shift, standard_gaussian,
                                    wigner_gaussian)
@@ -391,3 +391,22 @@ def test_chirp_values_2d_is_the_complex_exponential(Q):
     assert (want == 0).any()
     assert np.all(np.abs(got[want == 0]) < np.finfo(float).tiny)
     assert _rel(got, want) < 1e-14
+
+
+def test_modnorm_extreme_indices_stay_in_range():
+    # the l^p sums are taken of the entries divided by their largest, so a
+    # huge p neither underflows to zero nor warns: it nears the max norm
+    g = sample(standard_gaussian(1), GridSpec(1, 64, 1 / 8.0))
+    sup = discrete_modnorm(g, g, p=np.inf, q=np.inf)
+    assert abs(discrete_modnorm(g, g, p=1e300, q=1e300) - sup) <= 1e-12 * sup
+    assert abs(discrete_modnorm(g, g, p=1e5, q=1e5) - sup) <= 1e-3 * sup
+    # a norm beyond the float range is a numerical error, not inf or a warning
+    for p, s in ((1e-300, 0.0), (2.0, 1e5)):
+        with pytest.raises(NumericalError, match="floating-point range"):
+            discrete_modnorm(g, g, p=p, q=p, s=s)
+
+
+def test_sample_overflowing_grid_is_numerical_error():
+    # at |x| near 1e154 the exponent overflowed with numpy warnings
+    with pytest.raises(NumericalError, match="overflow"):
+        sample(GaussianState(1, 0.7, [[0.2 + 0.8j]], [0.3 - 0.2j]), GridSpec(1, 8, 1e154))

@@ -2,9 +2,10 @@
 defaulted ``tol`` parameter is passed by some call, no test asserts a value
 that is always true, no module assembles a block matrix with ``np.block``
 (``sympcore.from_blocks`` fills one array), only ``gausscalc`` builds a
-``GaussianState`` from already validated fields, and no module imports
-scipy: the source never names it, and cold commands and the grid routes
-run with every scipy import blocked."""
+``GaussianState`` from already validated fields, the relative-tolerance
+rule ``tol * max(1, ||s||)`` is written only inside ``sympcore.negligible``,
+and no module imports scipy: the source never names it, and cold commands
+and the grid routes run with every scipy import blocked."""
 import ast
 import json
 import os
@@ -176,6 +177,76 @@ def test_checker_flags_unpassed_tol():
 def test_every_tol_default_is_passed():
     # a tolerance no caller sets belongs in the comparison, not the signature
     assert unpassed_tol_defaults([p.read_text() for p in SRC.glob("*.py")]) == []
+
+
+def _is_number(node):
+    """A numeric literal, signed, or a product of such literals."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _is_number(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _is_number(node.left) and _is_number(node.right)
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def _floored(node, names):
+    """A ``max(1.0, ...)`` call, a local in ``names`` bound to one, or a
+    power of either."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _floored(node.left, names)
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "max"
+            and any(_is_number(a) and ast.literal_eval(a) == 1 for a in node.args))
+
+
+def inline_tolerances(source):
+    """Line numbers where a numeric literal multiplies a ``max(1.0, ...)``
+    call, or a local bound to one, outside a function named ``negligible``."""
+    lines = set()
+
+    def scan(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name == "negligible":
+                    continue
+                bound = {t.id for n in ast.walk(child) if isinstance(n, ast.Assign)
+                         and _floored(n.value, set()) for t in n.targets
+                         if isinstance(t, ast.Name)}
+                scan(child, bound)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult):
+                if any(_is_number(a) and _floored(b, names)
+                       for a, b in ((child.left, child.right), (child.right, child.left))):
+                    lines.add(child.lineno)
+            scan(child, names)
+
+    scan(ast.parse(source), set())
+    return sorted(lines)
+
+
+def test_checker_flags_inline_tolerance():
+    source = ("def f(x, y, tol):\n"
+              "    a = 1e-9 * max(1.0, x)\n"
+              "    scale = max(1.0, y)\n"
+              "    b = y <= 1e-8 * scale\n"
+              "    c = -1e-10 * scale ** 2\n"
+              "    d = max(1, x) * 1e-12\n"
+              "    e = x / max(1.0, y)\n"
+              "    g = tol * max(1.0, y)\n"
+              "    h = 1e-9 * max(x, y) + 1e-9 * np.maximum(1.0, x)\n"
+              "def k(scale):\n"
+              "    return 1e-9 * scale\n"
+              "def negligible(x, scale, tol):\n"
+              "    return x <= 1e-9 * max(1.0, scale)\n")
+    assert inline_tolerances(source) == [2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_relative_tolerance_only_in_negligible(path):
+    # a verdict "is x negligible against s" goes through sympcore.negligible
+    assert inline_tolerances(path.read_text()) == []
 
 
 def vacuous_asserts(source):

@@ -11,7 +11,7 @@ from metaplectic.sympcore import (atom_matrix, atom_p, atom_r, atomic_decompose,
                                   classify_positivity, factor_R_theta,
                                   fourier, from_blocks, inverse_symplectic,
                                   is_symplectic, matrix_polar, multiplier,
-                                  omega, positivity_matrix,
+                                  negligible, omega, positivity_matrix,
                                   random_word, rescale, require_symplectic,
                                   schur_psd_test, semidefinite, sharp, sym_part,
                                   symplectic_svd, tensor_interleave, tilde,
@@ -450,3 +450,15 @@ def test_conjugation_commuting_flags_wrong_signature():
     assert not rep["positive"]
     assert rep["agrees"]
     assert rep["word"] is None
+
+
+def test_negligible_is_one_floored_relative_rule():
+    # the Frobenius norm of an array, the modulus of a number; the scale is
+    # floored at one, and the bar itself counts as negligible
+    assert negligible(np.array([[3e-9, 4e-9]]), np.array([[60.0], [80.0]]), 5.01e-11)
+    assert not negligible(np.array([[3e-9, 4e-9]]), np.array([[60.0], [80.0]]), 4.99e-11)
+    assert negligible(-5e-10, 0.25, 5e-10) and not negligible(-5e-10, 0.25, 4e-10)
+    assert negligible(3e-7 + 4e-7j, np.array([2.0]), 2.5e-7)
+    assert not negligible(float("nan"), 1.0, 1.0)
+    assert not negligible(np.array([1.0, np.nan]), 1e300, 1.0)
+    assert negligible(1e300, float("inf"), 1e-9)
