@@ -86,6 +86,7 @@ from .gridlab import (
     grid_apply_token,
     grid_apply_word,
     grid_wigner,
+    grid_wigner_multiplier,
     grid_stft,
     discrete_modnorm,
     contraction_check,

@@ -214,10 +214,15 @@ def _laguerre_rule():
     return u, w
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _in_range(x, what):
-    """``x`` as a float; a value that left the floating-point range (inf,
-    or nan from inf times zero) is a :class:`NumericalError`."""
-    if not np.isfinite(x):
+    """``x``, a sum or product of positive factors, as a float; a value
+    that left the floating-point range is a :class:`NumericalError`: inf,
+    nan from inf times zero, or a value below the smallest normal float
+    (zero or subnormal), which positive factors reach only by underflow."""
+    if not (np.isfinite(x) and x >= _TINY):
         raise NumericalError(f"{what} leaves the floating-point range")
     return float(x)
 
@@ -277,9 +282,11 @@ def mod_norm_bound_Z(Z, s=0.0):
 
 
 def combined_bound(S, p=2.0, q=None, s=0.0):
-    """Norm bound for the full propagator via its polar factors."""
+    """Norm bound for the full propagator via its polar factors; a product
+    that leaves the floating-point range is a :class:`NumericalError`."""
     pol = matrix_polar(S)
-    return mod_norm_bound_U(pol.U, p, q, s) * mod_norm_bound_Z(pol.Z, s)
+    return _in_range(mod_norm_bound_U(pol.U, p, q, s) * mod_norm_bound_Z(pol.Z, s),
+                     "combined modulation bound")
 
 
 # ----------------------------------------------------------------------------
@@ -353,8 +360,9 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
     exact L^2 growth of the standard Gaussian under the propagator, and (in
     dimension one) the discrete modulation-norm growth on a self-dual grid.
     Quantities whose decomposition degenerates at some time are reported as
-    NaN for that time rather than aborting the sweep; a time whose flow
-    matrix fails the symplectic check is a row of NaN.  ``min_eig`` is
+    NaN for that time rather than aborting the sweep, and so is a bound
+    that overflows or underflows; a time whose flow matrix fails the
+    symplectic check is a row of NaN.  ``min_eig`` is
     absolute: the certificate cancels terms of size ``||S||^2``, so it
     loses digits as the flow grows (for a long hermite flow it can read
     negative where the exact value is 1/2).  ``p`` and ``q`` must lie in
@@ -396,8 +404,11 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
             row["bound_z"] = float("nan") if pol is None else mod_norm_bound_Z(pol.Z, s)
         except NumericalError:
             row["bound_z"] = float("nan")
-        bu, bz = row["bound_u"], row["bound_z"]
-        row["bound_combined"] = bu * bz
+        try:
+            row["bound_combined"] = _in_range(row["bound_u"] * row["bound_z"],
+                                              "combined modulation bound")
+        except NumericalError:
+            row["bound_combined"] = float("nan")
         try:
             ft = apply_matrix(S, phi)
             row["l2_ratio"] = norm(ft) / norm(phi)

@@ -397,7 +397,17 @@ def _act(ABCD, c, Q, b, degenerate):
     # row-times-column products round as the per-term vector dot does
     phase = (np.swapaxes(-1j * np.pi * Bb, 1, 2) @ Db
              + np.swapaxes(1j * np.pi * QBb, 1, 2) @ Bb)[:, 0, 0]
-    c = c * det_pow(T0, -0.5) * np.prod(lam ** -0.5, axis=1) * np.exp(phase)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pre = c * det_pow(T0, -0.5) * np.prod(lam ** -0.5, axis=1)
+        c = pre * np.exp(phase)
+        if not np.isfinite(c).all():
+            # exp(phase) alone may leave the float range: one exponential of
+            # the summed logarithms keeps a product that is itself in range
+            # (a zero pre-factor has lost its size already)
+            c = np.where(np.isfinite(c) | (pre == 0), c, np.exp(np.log(pre) + phase))
+            if not np.isfinite(c).all():
+                raise NumericalError("amplitude of the transformed state leaves the "
+                                     "floating-point range")
     return c, _validated(Qp, degenerate, symmetric=True), bp, degenerate
 
 

@@ -19,6 +19,13 @@ Tokens act on samples:
   ``h/|sigma|``, so after a rescale a grid is generally not self-dual;
 * the remaining generators reduce to these.
 
+A Cohen-class representation, a 2-d multiplier symbol applied to the grid
+Wigner distribution, skips the Wigner: with the signed lag matrix ``K`` of
+:func:`grid_wigner`, ``W[i, m] = h (-1)^m sum_k K[i, k] exp(-2 pi i k m/n)``,
+and the plain FFT over ``m`` that the multiplier starts with gives back
+``n h K[i, (n/2 - l) mod n]``, a row permutation of ``K``
+(:func:`grid_wigner_multiplier`).
+
 In 2-d a chirp or a multiplier symbol ``exp(i pi Q z.z)`` is built as one
 real exponential, the modulus ``exp(-pi Im Q z.z)``, times the phase
 ``exp(i pi Re Q z.z)`` only when ``Re Q`` is nonzero: the symbols of the
@@ -35,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, UnsupportedRescale, ValidationError
 from .gausscalc import eval_state
-from .sympcore import Token, factor_R_theta, negligible, word_dim
+from .sympcore import Token, factor_R_theta, multiplier, negligible, word_dim
 
 __all__ = [
     "GridSpec",
@@ -47,6 +54,7 @@ __all__ = [
     "grid_apply_token",
     "grid_apply_word",
     "grid_wigner",
+    "grid_wigner_multiplier",
     "grid_stft",
     "discrete_modnorm",
     "require_indices",
@@ -283,28 +291,70 @@ def _require_selfdual_1d(f, g, who):
                               "axes of the output share one spacing")
 
 
+def _lag_views(f, g, scale=1.0):
+    """Two read-only strided views whose product is the signed lag matrix
+    ``K[i, k] = scale (-1)^{n/2+k} f(x_i + y_k/2) conj(g(x_i - y_k/2))`` of
+    :func:`grid_wigner` (half-step values from the refinements, zero off
+    the grid): row ``i`` takes the length-n windows of the refinements
+    zero-padded by n/2, of ``f`` from ``2i`` and of the reversed ``conj g``
+    from ``2n - 1 - 2i``.  The sign is ``(-1)^{n/2+j}`` at index ``j`` of
+    the refined ``f``, and ``scale`` rides on that sign vector."""
+    n = f.spec.n
+    f2 = _upsample2(f.values)
+    g2 = f2 if g is None else _upsample2(g.values)
+    fp = np.pad(f2 * (scale * _parity(2 * n)), n // 2)
+    gp = np.pad(np.conj(g2[::-1]), n // 2)
+    return sliding_window_view(fp, n)[:2 * n:2], sliding_window_view(gp, n)[2 * n - 1::-2]
+
+
 def grid_wigner(f, g=None):
     """Cross-Wigner distribution on a self-dual grid.
 
     ``W[i, m] = h * sum_k f(x_i + y_k/2) conj(g(x_i - y_k/2))
     exp(-2 pi i y_k xi_m)`` with the half-step values taken from the
     band-limited refinement of the samples.  Output indices are
-    ``(x, xi)`` on the same grid.  Row ``i`` of the summand multiplies two
-    strided views of the refinements zero-padded by n/2: the length-n
-    windows of ``f`` from ``2i`` and of the reversed ``conj g`` from
-    ``2n - 1 - 2i``.  The DFT's sign ``(-1)^k`` is ``(-1)^{n/2+j}`` at
-    index ``j`` of the refined ``f``.
+    ``(x, xi)`` on the same grid.  With the signed lag matrix ``K`` of two
+    strided views of the refinements (no index array or gather), this is
+    ``W[i, m] = h (-1)^m sum_k K[i, k] exp(-2 pi i k m / n)``.
     """
     _require_selfdual_1d(f, f if g is None else g, "grid_wigner")
     n, h = f.spec.n, f.spec.h
-    f2 = _upsample2(f.values)
-    g2 = f2 if g is None else _upsample2(g.values)
-    fp = np.pad(f2 * _parity(2 * n), n // 2)
-    gp = np.pad(np.conj(g2[::-1]), n // 2)
-    W = np.fft.fft(sliding_window_view(fp, n)[:2 * n:2]
-                   * sliding_window_view(gp, n)[2 * n - 1::-2], axis=1)
+    a, b = _lag_views(f, g)
+    W = np.fft.fft(a * b, axis=1)
     W *= h * _parity(n)
     return GridFn(GridSpec(2, n, h), W)
+
+
+def grid_wigner_multiplier(f, g, P):
+    """``grid_apply_token(multiplier(P), grid_wigner(f, g))`` straight from
+    the lag matrix: the grid form of a Cohen-class representation, a kernel
+    product in the ambiguity domain, with no Wigner formed.
+
+    The plain FFT over ``m`` of ``W[i, m] = h (-1)^m sum_k K[i, k]
+    exp(-2 pi i k m / n)`` is ``n h K[i, (n/2 - l) mod n]`` at frequency
+    ``l``: the multiplier's pass over the frequency axis undoes the
+    Wigner's lag transform and leaves a row permutation of ``K``.  So ``K``
+    is stored lag-major, row ``l`` holding lag ``(n/2 - l) mod n`` scaled by
+    ``n h``; the two passes over x run along the contiguous axis (FFT,
+    symbol transposed, inverse FFT), one inverse FFT runs over the lags, and
+    the output is the transpose of the result, a view.  ``P`` is validated
+    as :func:`~metaplectic.sympcore.multiplier` validates it.
+    """
+    _require_selfdual_1d(f, f if g is None else g, "grid_wigner")
+    t = multiplier(P)
+    if t.d != 2:
+        raise ValidationError("token dimension does not match grid dimension")
+    n, h = f.spec.n, f.spec.h
+    a, b = (v.T for v in _lag_views(f, g, n * h))
+    m = n // 2
+    L = np.empty((n, n), dtype=complex)
+    np.multiply(a[m::-1], b[m::-1], out=L[:m + 1])     # lags n/2, ..., 0
+    np.multiply(a[:m:-1], b[:m:-1], out=L[m + 1:])     # lags n - 1, ..., n/2 + 1
+    L = np.fft.fft(L, axis=1)
+    # the symbol at (xi_j, eta_l) sits at [l, j]: swap the roles of the axes
+    L *= _chirp_values(np.fft.ifftshift(f.spec.dual().axis()), -t.matrix_param()[::-1, ::-1])
+    L = np.fft.ifft(L, axis=1)
+    return GridFn(GridSpec(2, n, h), np.fft.ifft(L, axis=0).T)
 
 
 def grid_stft(f, g):

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .gausscalc import GaussianState, apply_token, det_pow, wigner_gaussian
-from .gridlab import grid_apply_token, grid_wigner
+from .gridlab import grid_wigner, grid_wigner_multiplier
 from .sympcore import (
     atom_p,
     atom_r,
@@ -206,16 +206,24 @@ def tfr_gaussian(spec, f, g=None):
 
 
 def tfr_grid(spec, f, g=None):
-    """The representation applied to sampled signals (d = 1): Wigner on the
-    self-dual grid, then the multiplier token of the symbol exponent.
-    Handles chirp-type kernels that have no Gaussian convolution form."""
+    """The representation applied to sampled signals (d = 1): the Wigner
+    distribution on the self-dual grid, then the multiplier token of the
+    symbol exponent ``B``.  Handles chirp-type kernels that have no Gaussian
+    convolution form.
+
+    For ``B != 0`` the Wigner distribution is never formed: the
+    multiplier's transform over the frequency axis of ``W[i, m] = h (-1)^m
+    sum_k K[i, k] exp(-2 pi i k m / n)`` is ``n h K[i, (n/2 - l) mod n]``, a
+    row permutation of the lag matrix ``K``, so
+    :func:`~metaplectic.gridlab.grid_wigner_multiplier` applies the symbol
+    to ``K`` directly (the Cohen-class kernel product in the ambiguity
+    domain).  For ``B = 0`` the output is :func:`grid_wigner` itself."""
     if spec.d != 1:
         raise ValidationError("grid route supports d = 1 signals")
-    W = grid_wigner(f, g)
     B = symbol_exponent(spec)
     if np.linalg.norm(B) == 0.0:
-        return W
-    return grid_apply_token(multiplier(B), W)
+        return grid_wigner(f, g)
+    return grid_wigner_multiplier(f, g, B)
 
 
 # ----------------------------------------------------------------------------

@@ -511,3 +511,16 @@ def test_evolve_extreme_indices_exit_cleanly(runner):
         r = run(*option)
         _exits_cleanly(r, 3)
         assert "leaves the floating-point range" in r.stderr
+
+
+def test_evolve_bound_that_underflows_is_nan(runner):
+    # bound_z underflowed and printed 0.0, below l2_ratio (0.208, 0.043)
+    r = runner.invoke(main, ["evolve", "--example", "hermite", "--t-max", "1", "--t-steps", "2",
+                             "--grid-n", "16", "--s", "-1e5"])
+    assert r.exit_code == 0, r.output
+    rows = [line.split(",") for line in r.stdout.splitlines()]
+    col = rows[0].index
+    for row in rows[1:]:
+        assert row[col("bound_z")] == row[col("bound_combined")] == "nan"
+        assert np.isfinite(float(row[col("bound_u")]))
+        assert float(row[col("l2_ratio")]) > 0.04

@@ -382,3 +382,14 @@ def test_bounds_beyond_float_range_are_numerical_errors():
             call()
     assert mod_norm_bound_U(U, s=300.0) == pytest.approx(
         mod_norm_bound_U(U) * 3.0 ** 600, rel=1e-12)
+
+
+def test_bounds_that_underflow_are_numerical_errors():
+    # positive factors reach zero (or a subnormal) only by underflow: the
+    # bound read 0.0, below the quantity it bounds
+    Z = matrix_polar(atom_matrix([0.5], [0.0])).Z
+    with pytest.raises(NumericalError, match="floating-point range"):
+        mod_norm_bound_Z(Z, s=-1e5)
+    with pytest.raises(NumericalError, match="floating-point range"):
+        mod_norm_bound_U(np.diag([3.0, 1 / 3.0]), s=-400.0)
+    assert mod_norm_bound_Z(Z, s=-10.0) > 0

@@ -665,6 +665,26 @@ def test_intertwining_residual_that_overflows_is_numerical_error(z):
         check_intertwining([fourier(1)], z, 0.0, standard_gaussian(1))
 
 
+def test_amplitude_beyond_exp_range_stays_finite():
+    # exp(phase) alone is e^804 and overflowed: this returned c = inf - inf i
+    # with a RuntimeWarning, where the true amplitude is about 1e49; the
+    # b = 16j and b = 15j amplitudes differ by exp(pi (16^2 - 15^2))
+    big = GaussianState(1, 1e-300, [[1j]], [16j])
+    near = GaussianState(1, 1e-300, [[1j]], [15j])
+    out = apply_token(fourier(1), big)
+    want = apply_token(fourier(1), near).c * np.exp(31 * np.pi)
+    assert abs(out.c - want) <= 1e-12 * abs(want)
+    assert 1e48 < abs(out.c) < 1e50
+    # in a stack each term takes its own route: the in-range term is unchanged
+    both = apply_token(fourier(1), [near, big])
+    assert both[0].c == apply_token(fourier(1), near).c and both[1].c == out.c
+
+
+def test_amplitude_that_overflows_is_numerical_error():
+    with pytest.raises(NumericalError, match="amplitude"):
+        apply_token(fourier(1), GaussianState(1, 1.0, [[1j]], [16j]))
+
+
 def test_shift_that_overflows_is_numerical_error():
     with pytest.raises(NumericalError, match="overflows"):
         shift(standard_gaussian(1), [1e308, 1e308], 0.0)

@@ -11,9 +11,10 @@ from metaplectic.gridlab import (GridFn, GridSpec, _chirp_values, contraction_ch
                                  discrete_modnorm, grid_apply_token,
                                  grid_apply_word, grid_fourier,
                                  grid_fourier_inverse, grid_stft, grid_wigner,
-                                 norm2, sample)
+                                 grid_wigner_multiplier, norm2, sample)
 from metaplectic.sympcore import (atom_r, chirp, fourier, multiplier,
                                   random_word, rescale)
+from metaplectic.tfrzoo import build_covariant, symbol_exponent
 
 from conftest import random_state, rel_l2
 
@@ -282,6 +283,46 @@ def test_grid_wigner_is_the_documented_sum(n):
     assert _rel(W.values[rows], _wigner_rows(f, g, spec, rows)) < 1e-12
     auto = grid_wigner(GridFn(spec, f)).values
     assert _rel(auto[rows], _wigner_rows(f, f, spec, rows)) < 1e-12
+
+
+# the Husimi symbol exponent, and one with a cross term and a nonzero real
+# part (the skew spectrogram of the representation tests)
+HUSIMI_B = np.diag([-0.5j, -0.5j])
+_A11, _A13 = np.array([[0.4 + 0.1j]]), np.array([[0.3 - 0.6j]])
+SKEW_B = symbol_exponent(build_covariant(
+    _A11, _A13, -(_A11.T @ np.linalg.inv(_A13) @ (_A11 - np.eye(1)))))
+
+
+@pytest.mark.parametrize("P", [HUSIMI_B, SKEW_B], ids=["husimi", "skew"])
+@pytest.mark.parametrize("cross", [False, True], ids=["auto", "cross"])
+@pytest.mark.parametrize("n", [6, 8, 10, 64])
+def test_wigner_multiplier_is_the_token_on_the_wigner(n, cross, P):
+    # samples that do not decay reach every lag, so a wrong row of the lag
+    # matrix or a transposed symbol shows
+    assert SKEW_B[0, 1] != 0 and SKEW_B.real.any()
+    rng = np.random.default_rng(300 + n)
+    spec = GridSpec(1, n, 1 / np.sqrt(n))
+    f = GridFn(spec, _random_samples(rng, n))
+    g = GridFn(spec, _random_samples(rng, n)) if cross else None
+    got = grid_wigner_multiplier(f, g, P)
+    want = grid_apply_token(multiplier(P), grid_wigner(f, g))
+    assert got.spec == want.spec == GridSpec(2, n, spec.h)
+    assert _rel(got.values, want.values) <= 1e-13
+
+
+def test_wigner_multiplier_validates_like_the_token():
+    spec = GridSpec(1, 8, 1 / np.sqrt(8))
+    f = GridFn(spec, np.ones(8))
+    for bad in (np.diag([0.5j, -0.5j]), [[np.nan, 0], [0, -1j]]):
+        with pytest.raises(ValidationError) as token:
+            multiplier(bad)
+        with pytest.raises(ValidationError) as kernel:
+            grid_wigner_multiplier(f, None, bad)
+        assert str(kernel.value) == str(token.value)
+    with pytest.raises(ValidationError, match="dimension"):
+        grid_wigner_multiplier(f, None, [[-0.5j]])
+    with pytest.raises(ValidationError, match="self-dual"):
+        grid_wigner_multiplier(GridFn(GridSpec(1, 8, 0.2), np.ones(8)), None, HUSIMI_B)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 64])

@@ -4,11 +4,13 @@ that is always true, no module assembles a block matrix with ``np.block``
 (``sympcore.from_blocks`` fills one array), only ``gausscalc`` builds a
 ``GaussianState`` from already validated fields, the relative-tolerance
 rule ``tol * max(1, ||s||)`` is written only inside ``sympcore.negligible``,
-and no module imports scipy: the source never names it, and cold commands
-and the grid routes run with every scipy import blocked."""
+no ``numpy.fft`` call passes ``out=`` while the package admits numpy before
+2.0, and no module imports scipy: the source never names it, and cold
+commands and the grid routes run with every scipy import blocked."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +249,74 @@ def test_checker_flags_inline_tolerance():
 def test_relative_tolerance_only_in_negligible(path):
     # a verdict "is x negligible against s" goes through sympcore.negligible
     assert inline_tolerances(path.read_text()) == []
+
+
+def fft_out_keywords(source):
+    """Line numbers of the calls of a ``numpy.fft`` function in ``source``
+    that pass an ``out=`` keyword: ``np.fft.f(...)``, ``F.f(...)`` for a
+    name ``F`` bound to ``numpy.fft``, or ``f(...)`` for a name imported
+    from it."""
+    tree = ast.parse(source)
+    numpy_names, fft_names, fft_funcs = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                elif alias.name == "numpy.fft":
+                    if alias.asname:
+                        fft_names.add(alias.asname)
+                    else:
+                        numpy_names.add("numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                if node.module == "numpy" and alias.name == "fft":
+                    fft_names.add(alias.asname or "fft")
+                elif node.module == "numpy.fft":
+                    fft_funcs.add(alias.asname or alias.name)
+
+    def is_fft_module(node):
+        if isinstance(node, ast.Name):
+            return node.id in fft_names
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(k.arg == "out" for k in node.keywords):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and is_fft_module(f.value)
+                    or isinstance(f, ast.Name) and f.id in fft_funcs):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_fft_out():
+    source = ("import numpy as np\n"
+              "from numpy.fft import ifft as inv\n"
+              "from numpy import fft as F\n"
+              "a = np.fft.fft(x, axis=1, out=y)\n"
+              "b = inv(x, out=y)\n"
+              "c = F.rfft(x, out=y)\n"
+              "d = np.fft.fft(x, axis=1)\n"
+              "e = np.multiply(x, y, out=z)\n"
+              "g = scipy.fft.fft(x, out=y)\n"
+              "h = np.exp(x, out=x)\n")
+    assert fft_out_keywords(source) == [4, 5, 6]
+
+
+def numpy_floor():
+    """The lowest numpy version ``pyproject.toml`` admits, as a tuple."""
+    text = (ROOT / "pyproject.toml").read_text()
+    return tuple(int(x) for x in re.search(r'"numpy>=([0-9.]+)"', text).group(1).split("."))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_fft_out_below_numpy_2(path):
+    # numpy.fft functions take out= from numpy 2.0 on; below that the call
+    # raises TypeError
+    if numpy_floor() < (2, 0):
+        assert fft_out_keywords(path.read_text()) == []
 
 
 def vacuous_asserts(source):

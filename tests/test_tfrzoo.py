@@ -7,8 +7,9 @@ from metaplectic.errors import (ModelError, UnsupportedSingularBlock,
 from metaplectic.gausscalc import (GaussianState, apply_word, eval_state,
                                    inner_product, norm, shift,
                                    standard_gaussian, wigner_gaussian)
-from metaplectic.gridlab import GridSpec, grid_stft, sample
-from metaplectic.sympcore import chirp, fourier, is_symplectic, rescale
+from metaplectic.gridlab import GridSpec, grid_stft, grid_wigner, sample
+from metaplectic.sympcore import (chirp, fourier, is_symplectic, multiplier,
+                                  rescale)
 from metaplectic.tfrzoo import (SplitWord, TFRSpec, build_covariant,
                                 classify_pure_spectrogram,
                                 classify_spectrogram, cohen_kernel,
@@ -114,6 +115,26 @@ def test_tfr_grid_matches_gaussian_route(rng):
     for rep in (husimi_spec(), skew_spec()):
         T = tfr_grid(rep, sample(f, spec), sample(g, spec))
         assert rel_l2(T, tfr_gaussian(rep, f, g)) < 1e-8
+
+
+def test_tfr_grid_without_symbol_is_grid_wigner(rng):
+    spec = GridSpec(1, 64, 1 / 8.0)
+    f, g = sample(random_state(rng, 1), spec), sample(random_state(rng, 1), spec)
+    for other in (g, None):
+        assert np.array_equal(tfr_grid(wigner_spec(), f, other).values,
+                              grid_wigner(f, other).values)
+
+
+def test_tfr_grid_rejects_a_symbol_like_multiplier(rng):
+    # a representation matrix outside the covariant cone (Im B >= 0): the
+    # grid route rejects its symbol with the multiplier token's own error
+    bad = TFRSpec(1, husimi_spec().A.conj())
+    f = sample(random_state(rng, 1), GridSpec(1, 64, 1 / 8.0))
+    with pytest.raises(ValidationError) as token:
+        multiplier(symbol_exponent(bad))
+    with pytest.raises(ValidationError) as grid:
+        tfr_grid(bad, f)
+    assert str(grid.value) == str(token.value)
 
 
 def test_husimi_diagonal_is_spectrogram(rng):
