@@ -26,10 +26,11 @@ and the plain FFT over ``m`` that the multiplier starts with gives back
 ``n h K[i, (n/2 - l) mod n]``, a row permutation of ``K``
 (:func:`grid_wigner_multiplier`).
 
-In 2-d a chirp or a multiplier symbol ``exp(i pi Q z.z)`` is built as one
-real exponential, the modulus ``exp(-pi Im Q z.z)``, times the phase
-``exp(i pi Re Q z.z)`` only when ``Re Q`` is nonzero: the symbols of the
-spectrogram and Husimi representations have a purely imaginary exponent.
+A chirp or a multiplier symbol ``exp(i pi Q z.z)`` is one exponential
+over the grid, in 1-d and 2-d alike: a real one, ``exp(-pi Im Q z.z)``,
+when ``Q`` is purely imaginary (the atom ``atom_p``, the chirps of
+``atom_r``, the spectrogram and Husimi symbols), and a complex one
+otherwise.
 """
 
 from __future__ import annotations
@@ -179,7 +180,9 @@ def grid_fourier_inverse(f):
 # ----------------------------------------------------------------------------
 
 def _quadratic_form(x, A):
-    """``A z.z`` for a real symmetric 2 x 2 ``A`` on the grid with axis ``x``."""
+    """``A z.z`` for a symmetric 1 x 1 or 2 x 2 ``A`` on the grid with axis ``x``."""
+    if len(A) == 1:
+        return A[0, 0] * x * x
     form = 2 * A[0, 1] * x[:, None] * x
     form += A[0, 0] * x[:, None] ** 2
     form += A[1, 1] * x ** 2
@@ -187,21 +190,17 @@ def _quadratic_form(x, A):
 
 
 def _chirp_values(x, Q):
-    """``exp(i pi Q z.z)``, complex ``Q``, on the grid with axis ``x``.
-
-    In 2-d the modulus ``exp(-pi Im Q z.z)`` is one real exponential over the
-    grid (at n = 512 on one Xeon core, 0.2 ms against 8-11 ms for a complex
-    one), and the phase ``exp(i pi Re Q z.z)`` is multiplied in only where
-    ``Re Q`` is nonzero."""
-    if len(Q) == 1:
-        return np.exp(1j * np.pi * (Q[0, 0] * x * x))
+    """``exp(i pi Q z.z)``, complex ``Q``, on the grid with axis ``x``: one
+    exponential in every dimension.  A purely imaginary ``Q`` gives the real
+    ``exp(-pi Im Q z.z)`` (at n = 512 in 2-d on one Xeon core, 0.2 ms
+    against 8-11 ms for a complex one); any other ``Q`` gives the complex
+    ``exp(i pi Q z.z)``."""
     Q = np.asarray(Q)
+    if Q.real.any():
+        return np.exp(1j * np.pi * _quadratic_form(x, Q))
     vals = _quadratic_form(x, Q.imag)
     vals *= -np.pi
-    np.exp(vals, out=vals)
-    if Q.real.any():
-        vals = vals * np.exp(1j * np.pi * _quadratic_form(x, Q.real))
-    return vals
+    return np.exp(vals, out=vals)
 
 
 def _apply_rescale(f, E, maslov):
@@ -226,11 +225,13 @@ def _apply_rescale(f, E, maslov):
         if abs(abs(factors[0]) - abs(factors[1])) > 1e-12 * abs(factors[0]):  # a ratio
             raise UnsupportedRescale("2-d grids carry one spacing: both rescale "
                                      "factors need the same magnitude")
-    parity = (-np.arange(spec.n)) % spec.n
     for axis, sigma in enumerate(factors):
         if sigma < 0:
-            v = np.take(v, parity, axis=axis)
-            np.moveaxis(v, axis, 0)[0] = 0
+            lead = (slice(None),) * axis
+            flipped = np.empty_like(v)
+            flipped[lead + (0,)] = 0
+            flipped[lead + (slice(1, None),)] = v[lead + (slice(None, 0, -1),)]
+            v = flipped
     root = np.sqrt(abs(np.prod(factors)))
     out = GridSpec(spec.d, spec.n, float(spec.h / abs(factors[0])))
     return GridFn(out, (1j) ** (maslov % 4) * root * v)
@@ -252,9 +253,8 @@ def grid_apply_token(t, f):
         # grid_fourier_inverse(symbol * grid_fourier(f)) with the symbol
         # exp(-i pi P zeta.zeta), Im P <= 0: the centring signs and scalars
         # cancel, so the symbol, sampled in FFT order, multiplies a plain FFT
-        xi = np.fft.ifftshift(f.spec.dual().axis())
         v = np.fft.fftn(f.values)
-        v *= _chirp_values(xi, -t.matrix_param())
+        v *= _chirp_values(np.fft.fftfreq(f.spec.n, f.spec.h), -t.matrix_param())
         return GridFn(f.spec, np.fft.ifftn(v))
     if t.op == "atom_r":
         return grid_apply_word(factor_R_theta(t.vector_param()), f)
@@ -352,7 +352,7 @@ def grid_wigner_multiplier(f, g, P):
     np.multiply(a[:m:-1], b[:m:-1], out=L[m + 1:])     # lags n - 1, ..., n/2 + 1
     L = np.fft.fft(L, axis=1)
     # the symbol at (xi_j, eta_l) sits at [l, j]: swap the roles of the axes
-    L *= _chirp_values(np.fft.ifftshift(f.spec.dual().axis()), -t.matrix_param()[::-1, ::-1])
+    L *= _chirp_values(np.fft.fftfreq(n, h), -t.matrix_param()[::-1, ::-1])
     L = np.fft.ifft(L, axis=1)
     return GridFn(GridSpec(2, n, h), np.fft.ifft(L, axis=0).T)
 

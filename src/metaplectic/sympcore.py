@@ -37,6 +37,7 @@ from .errors import (
     DecompositionError,
     NotConjugationSymmetric,
     NotTriangular,
+    NumericalError,
     UnsupportedDegenerate,
     ValidationError,
 )
@@ -502,6 +503,11 @@ def token_matrix(t):
         return from_blocks(I, P, O, I)
     if t.op == "atom_r":
         th = t.vector_param()
+        if max(t.vec) > 710:  # cosh and sinh overflow near log(2 DBL_MAX) = 710.48
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.cosh(th)).all():
+                    raise NumericalError(f"atom_r parameter theta = {th.max():g} takes cosh "
+                                         "and sinh beyond the floating-point range")
         ch, sh = np.diag(np.cosh(th)), np.diag(np.sinh(th))
         return from_blocks(ch, -1j * sh, 1j * sh, ch)
     if t.op == "atom_p":
@@ -580,12 +586,26 @@ def factor_R_theta(theta):
 
     as an operator identity (phases included); the rescale's parity and phase
     index implement the inverse Fourier transform appearing in the middle.
+
+    The tokens are built here, not by the factories: for a validated
+    ``theta``, ``iT`` is symmetric with ``Im iT >= 0`` and ``-c^{-1}`` is a
+    real diagonal, so both are valid by construction.  Invertibility is the
+    rescale factory's verdict on a real diagonal, ``1/cosh theta`` against
+    its largest entry at ``1e-10``; ``cosh theta`` past the float range gives
+    ``1/cosh theta = 0`` and fails it.  The word is ``==`` to the one the
+    factories build, and a ``theta`` they reject raises what they raise.
     """
     th = _atom_vec(theta, "atom_r")
     d = th.size
-    T = 1j * np.diag(np.tanh(th))
-    E = -np.diag(1.0 / np.cosh(th))
-    return [chirp(T), rescale(E, maslov=d), fourier(d), chirp(T), fourier(d)]
+    with np.errstate(over="ignore"):
+        c = 1.0 / np.cosh(th)
+    if negligible(c.min(), c.max(), 1e-10):
+        raise ValidationError("rescale matrix must be invertible")
+    # the chirp factory's symmetrization t/2 + t/2, which rounds a subnormal t
+    half = np.tanh(th) / 2
+    T = _freeze(1j * np.diag(half + half))
+    return [Token("chirp", d, mat=T), Token("rescale", d, mat=_freeze(-np.diag(c)), maslov=d % 4),
+            Token("fourier", d), Token("chirp", d, mat=T), Token("fourier", d)]
 
 
 # ----------------------------------------------------------------------------

@@ -447,6 +447,19 @@ def test_intertwine_overflow_is_numerical_error(runner, files):
     _exits_cleanly(r, 3)
 
 
+def test_atom_r_past_float_range_exits_3(runner, files, tmp_path):
+    # cosh and sinh overflowed with RuntimeWarnings on stderr, then the
+    # word failed as "matrix must be finite" and exited 1
+    word = tmp_path / "atom.json"
+    word.write_text('{"d": 1, "tokens": [{"op": "atom_r", "theta": [800.0]}]}')
+    r = runner.invoke(main, ["gaussian", "apply", "--word", str(word),
+                             "--state", files["state.json"]])
+    _exits_cleanly(r, 3)
+    assert r.stderr.startswith("numerical error:") and "atom_r" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert "Warning" not in r.stderr
+
+
 @pytest.mark.parametrize("command", [
     ["evolve", "--example", "heat"],
     ["gaussian", "apply", "--format", "csv"],

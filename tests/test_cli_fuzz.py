@@ -7,6 +7,7 @@ documented exception is ``evolve``: a row whose decomposition degenerates
 carries NaN cells by design, so only its time column is checked there."""
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -126,6 +127,29 @@ def test_fuzz_gaussian_apply(files, source, state, fmt, grid_n, grid_h):
     if grid_h is not None:
         args += ["--grid-h", text(grid_h)]
     check(args, output=fmt)
+
+
+# token parameters: the fuzz numbers and values that take cosh, sinh or the
+# Gaussian exponents past the float range
+token_numbers = st.one_of(numbers, st.sampled_from([800.0, 1e300]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["state", "sum"]), st.sampled_from(["json", "csv", "bin"]),
+       token_numbers, token_numbers, token_numbers, token_numbers)
+def test_fuzz_gaussian_apply_word(files, state, fmt, q_re, q_im, theta, delta):
+    # the word file varies: chirp entry, atom_r and atom_p parameters
+    word = {"d": 1, "tokens": [
+        {"op": "chirp", "Q": {"d": 1, "rows": [[[q_re, q_im]]]}},
+        {"op": "fourier"},
+        {"op": "atom_r", "theta": [theta]},
+        {"op": "atom_p", "delta": [delta]},
+    ]}
+    path = os.path.join(os.path.dirname(files["word"]), "drawn_word.json")
+    with open(path, "w") as fh:
+        json.dump(word, fh)
+    check(["gaussian", "apply", "--word", path, "--state", files[state], "--format", fmt,
+           "--grid-n", "16"], output=fmt)
 
 
 @settings(max_examples=10, deadline=None)

@@ -89,6 +89,36 @@ def test_rescale_is_exact_relabel():
         assert np.array_equal(out.values, np.sqrt(abs(sigma)) * want), sigma
 
 
+def _gathered_rescale(f, E, maslov):
+    """The rescale relabel with the parity flip as an index gather, ``k``
+    reading ``(-k) mod n``: the reference for the sliced flip."""
+    v, factors = f.values, list(np.diag(E))
+    if not E.diagonal().any():
+        v, factors = v.T, [E[1, 0], E[0, 1]]
+    parity = (-np.arange(f.spec.n)) % f.spec.n
+    for axis, sigma in enumerate(factors):
+        if sigma < 0:
+            v = np.take(v, parity, axis=axis)
+            np.moveaxis(v, axis, 0)[0] = 0
+    return (1j) ** (maslov % 4) * np.sqrt(abs(np.prod(factors))) * v
+
+
+@pytest.mark.parametrize("E", [[[-1.5]], [[0.4]], np.diag([-1.5, 1.5]), np.diag([1.5, -1.5]),
+                               np.diag([-2.0, -2.0]), np.diag([0.5, 0.5]),
+                               [[0.0, 1.5], [-1.5, 0.0]], [[0.0, -2.0], [-2.0, 0.0]]],
+                         ids=["1d-neg", "1d-pos", "neg-pos", "pos-neg", "neg-neg", "pos-pos",
+                              "anti-one-neg", "anti-both-neg"])
+def test_rescale_flip_is_the_gather(E):
+    rng = np.random.default_rng(12)
+    E = np.array(E, dtype=float)
+    d = len(E)
+    for n in (6, 64):
+        f = GridFn(GridSpec(d, n, 0.15), _random_samples(rng, (n,) * d))
+        for maslov in range(4):
+            got = grid_apply_token(rescale(E, maslov=maslov), f).values
+            assert np.array_equal(got, _gathered_rescale(f, E, maslov)), (n, maslov)
+
+
 def test_fractional_rescale_matches_closed_form(rng):
     f = random_state(rng, 1)
     for sigma in (0.6, 1.0 / 3.0, np.sqrt(2), -0.6, 2.0, -3.0):
@@ -128,6 +158,59 @@ def test_multiplier_on_grid_matches_closed_form(rng):
     tok = multiplier(np.array([[-0.4j]]))
     out = grid_apply_token(tok, sample(f, SD512))
     assert rel_l2(out, apply_word([tok], f)) < 1e-9
+
+
+def _shifted_dual_multiplier(t, f):
+    """The multiplier token with its symbol sampled on ``ifftshift`` of the
+    dual grid's axis: the reference for the ``fftfreq`` axis."""
+    v = np.fft.fftn(f.values)
+    v *= _chirp_values(np.fft.ifftshift(f.spec.dual().axis()), -t.matrix_param())
+    return np.fft.ifftn(v)
+
+
+def _shifted_dual_wigner_multiplier(f, g, P):
+    """:func:`grid_wigner_multiplier` with the symbol sampled on ``ifftshift``
+    of the dual grid's axis."""
+    n, h = f.spec.n, f.spec.h
+    a, b = (v.T for v in gridlab._lag_views(f, g, n * h))
+    m = n // 2
+    L = np.empty((n, n), dtype=complex)
+    np.multiply(a[m::-1], b[m::-1], out=L[:m + 1])
+    np.multiply(a[:m:-1], b[:m:-1], out=L[m + 1:])
+    L = np.fft.fft(L, axis=1)
+    L *= _chirp_values(np.fft.ifftshift(f.spec.dual().axis()), -np.asarray(P)[::-1, ::-1])
+    L = np.fft.ifft(L, axis=1)
+    return np.fft.ifft(L, axis=0).T
+
+
+@pytest.mark.parametrize("n", [6, 512, 1024, 2048])
+def test_multiplier_dual_axis_is_the_shifted_dual_grid(n):
+    rng = np.random.default_rng(500 + n)
+    for h in (1 / np.sqrt(n), 0.7 / np.sqrt(n), 0.013):
+        f = GridFn(GridSpec(1, n, h), _random_samples(rng, n))
+        for P in ([[-0.3j]], [[0.2 - 0.4j]], [[0.7]]):
+            got = grid_apply_token(multiplier(P), f).values
+            assert np.array_equal(got, _shifted_dual_multiplier(multiplier(P), f)), (h, P)
+    if n > 512:
+        return
+    sd = GridSpec(1, n, 1 / np.sqrt(n))
+    f2 = GridFn(GridSpec(2, n, sd.h), _random_samples(rng, (n, n)))
+    f, g = GridFn(sd, _random_samples(rng, n)), GridFn(sd, _random_samples(rng, n))
+    for P in (HUSIMI_B, SKEW_B):
+        t = multiplier(P)
+        assert np.array_equal(grid_apply_token(t, f2).values, _shifted_dual_multiplier(t, f2))
+        for second in (None, g):
+            assert np.array_equal(grid_wigner_multiplier(f, second, P).values,
+                                  _shifted_dual_wigner_multiplier(f, second, t.matrix_param()))
+
+
+def test_atom_r_past_the_rescale_verdict_is_rejected():
+    # 1/cosh theta below 1e-10, or zero once cosh overflows (theta = 800
+    # warned of the overflow first)
+    f = sample(standard_gaussian(1), GridSpec(1, 16, 0.25))
+    for theta in (25.0, 800.0):
+        with pytest.raises(ValidationError, match="rescale matrix must be invertible"):
+            grid_apply_token(atom_r([theta]), f)
 
 
 def test_grid_wigner_matches_closed_form(rng):
@@ -420,13 +503,15 @@ def test_modnorm_accepts_infinite_indices():
 
 
 @pytest.mark.parametrize("Q", [[[1.5j, 0.4j], [0.4j, 0.8j]],
-                               [[0.3 + 1.5j, -0.7 + 0.4j], [-0.7 + 0.4j, 1.1 + 0.8j]]],
-                         ids=["imaginary", "complex"])
+                               [[0.3 + 1.5j, -0.7 + 0.4j], [-0.7 + 0.4j, 1.1 + 0.8j]],
+                               [[1.5j]], [[0.3 + 1.5j]]],
+                         ids=["imaginary", "complex", "imaginary-1d", "complex-1d"])
 def test_chirp_values_2d_is_the_complex_exponential(Q):
-    # at the corners of this grid |z|^2 = 512 and exp(-pi Im Q z.z) underflows
+    # at the corners of this grid |z|^2 = 512 and exp(-pi Im Q z.z)
+    # underflows; in 1-d it does at the edges, where x^2 = 256
     Q = np.array(Q)
-    x = GridSpec(2, 64, 0.5).axis()
-    z = GridSpec(2, 64, 0.5).points()
+    spec = GridSpec(len(Q), 64, 0.5)
+    x, z = spec.axis(), spec.points()
     want = np.exp(1j * np.pi * np.einsum("...i,ij,...j->...", z, Q, z))
     got = _chirp_values(x, Q)
     assert (want == 0).any()

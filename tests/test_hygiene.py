@@ -2,11 +2,12 @@
 defaulted ``tol`` parameter is passed by some call, no test asserts a value
 that is always true, no module assembles a block matrix with ``np.block``
 (``sympcore.from_blocks`` fills one array), only ``gausscalc`` builds a
-``GaussianState`` from already validated fields, the relative-tolerance
-rule ``tol * max(1, ||s||)`` is written only inside ``sympcore.negligible``,
-no ``numpy.fft`` call passes ``out=`` while the package admits numpy before
-2.0, and no module imports scipy: the source never names it, and cold
-commands and the grid routes run with every scipy import blocked."""
+``GaussianState`` from already validated fields, only ``sympcore`` constructs
+a ``Token`` directly, the relative-tolerance rule ``tol * max(1, ||s||)``
+is written only inside ``sympcore.negligible``, no ``numpy.fft`` call
+passes ``out=`` while the package admits numpy before 2.0, and no module
+imports scipy: the source never names it, and cold commands and the grid
+routes run with every scipy import blocked."""
 import ast
 import json
 import os
@@ -137,6 +138,42 @@ def test_checker_flags_trusted_constructor():
 def test_only_gausscalc_skips_state_validation(path):
     # every state built elsewhere passes the checks of GaussianState
     assert trusted_constructor_uses(path.read_text()) == []
+
+
+def token_constructions(source):
+    """Line numbers of the calls in ``source`` that construct a ``Token``
+    directly: ``Token(...)``, ``module.Token(...)``, or a call of a name
+    bound to ``Token`` by an import."""
+    tree = ast.parse(source)
+    names = {"Token"} | {alias.asname for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)
+                         for alias in node.names if alias.name == "Token" and alias.asname}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id in names
+                       or isinstance(node.func, ast.Attribute) and node.func.attr == "Token"))
+
+
+def test_checker_flags_token_construction():
+    source = ("from metaplectic.sympcore import Token, chirp\n"
+              "from metaplectic.sympcore import Token as Tok\n"
+              "a = Token('fourier', 1)\n"
+              "b = sympcore.Token('chirp', 1, mat=m)\n"
+              "c = isinstance(t, Token)\n"
+              "d = Tok('fourier', 2)\n"
+              "e = chirp(Q)\n"
+              "f = metaplectic.sympcore.Token('fourier', 1)\n"
+              "g = 'Token(x)'\n")
+    assert token_constructions(source) == [3, 4, 6, 8]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "sympcore.py"]
+                         + sorted((ROOT / "tests").glob("*.py"))
+                         + sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_sympcore_constructs_tokens(path):
+    # tokens elsewhere come from the factories, which validate them; the
+    # tokens sympcore builds itself are valid by construction
+    assert token_constructions(path.read_text()) == []
 
 
 def unpassed_tol_defaults(sources):

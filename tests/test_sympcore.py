@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metaplectic.errors import (DecompositionError, NotConjugationSymmetric,
-                                NotTriangular, ValidationError)
+                                NotTriangular, NumericalError, ValidationError)
 from metaplectic.sympcore import (atom_matrix, atom_p, atom_r, atomic_decompose,
                                   blocks, chirp, classify_block_triangular,
                                   classify_conjugation_commuting,
@@ -226,6 +226,56 @@ def test_atom_matrix_matches_factorization():
     direct = atom_matrix(theta, np.zeros(1))
     word = factor_R_theta(theta)
     assert np.allclose(word_to_matrix(word), direct, atol=1e-12)
+
+
+def _factory_word(theta):
+    """The rotation-atom factorization built by the public factories, which
+    validate every token: the reference for the direct construction."""
+    th = atom_r(theta).vector_param()
+    d = th.size
+    T = 1j * np.diag(np.tanh(th))
+    with np.errstate(over="ignore"):
+        E = -np.diag(1.0 / np.cosh(th))
+    return [chirp(T), rescale(E, maslov=d), fourier(d), chirp(T), fourier(d)]
+
+
+def _outcome(make, theta):
+    try:
+        return make(theta)
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+def test_factor_R_theta_is_the_factory_word():
+    # the tokens are built directly; the word, and every rejection, must be
+    # the factories' own.  1/cosh theta crosses the rescale verdict 1e-10
+    # near theta = 23.72, cosh overflows past 710.5, and a subnormal tanh is
+    # rounded by the chirp factory's symmetrization
+    rng = np.random.default_rng(19)
+    thetas = [[0.0], [0.0, 0.0, 0.0], [800.0], [0.3, 800.0], [5e-324], [3e-308, 0.4],
+              [-1e-13], [-0.1], [np.nan], [np.inf], [], [[0.2]]]
+    thetas += [[t] for t in np.linspace(23.70, 23.74, 21)]
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        thetas.append(rng.uniform(-0.2, 1.0, d) * 10.0 ** rng.uniform(-3, 3, d))
+    verdicts = set()
+    for theta in thetas:
+        got, want = _outcome(factor_R_theta, theta), _outcome(_factory_word, theta)
+        assert got == want, theta
+        verdicts.add(want[1] if isinstance(want, tuple) else "word")
+    assert {"word", "rescale matrix must be invertible",
+            "atom_r parameters must be nonnegative"} <= verdicts
+
+
+def test_atom_r_matrix_past_float_range_is_numerical_error():
+    # cosh and sinh overflowed with RuntimeWarnings and the matrix failed
+    # later as "matrix must be finite"
+    assert np.all(np.isfinite(token_matrix(atom_r([710.0, 0.5]))))
+    for theta in ([800.0], [0.5, 711.0]):
+        with pytest.raises(NumericalError, match="atom_r"):
+            token_matrix(atom_r(theta))
+        with pytest.raises(NumericalError, match="atom_r"):
+            word_to_matrix([fourier(len(theta)), atom_r(theta)])
 
 
 def test_atom_matrix_disjoint_atoms_commute():
