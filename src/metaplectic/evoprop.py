@@ -359,9 +359,10 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
     smallest eigenvalue, the polar residual, the three norm bounds, the
     exact L^2 growth of the standard Gaussian under the propagator, and (in
     dimension one) the discrete modulation-norm growth on a self-dual grid.
-    Quantities whose decomposition degenerates at some time are reported as
-    NaN for that time rather than aborting the sweep, and so is a bound
-    that overflows or underflows; a time whose flow matrix fails the
+    One rule (:func:`_cell`) keeps the sweep going: a cell is NaN when its
+    computation raises :class:`ValidationError` or :class:`NumericalError`
+    (a degenerate decomposition, a bound that overflows or underflows), or
+    when a value it needs failed, so a time whose flow matrix fails the
     symplectic check is a row of NaN.  ``min_eig`` is
     absolute: the certificate cancels terms of size ``||S||^2``, so it
     loses digits as the flow grows (for a long hermite flow it can read
@@ -371,59 +372,45 @@ def evolve_trajectory(H, times, p=2.0, q=None, s=0.0, grid_n=256):
     qq = p if q is None else q
     require_indices(p, qq, s)
     phi = standard_gaussian(H.d)
-    base = None
-    gspec = None
+    phi_norm = norm(phi)
+    gspec = f0 = base = None
     if H.d == 1:
         gspec = GridSpec(1, grid_n, 1.0 / np.sqrt(grid_n))
         f0 = sample(phi, gspec)
         base = discrete_modnorm(f0, f0, p=p, q=qq, s=s)
     rows = []
     for t in times:
-        try:
-            S = propagator_matrix(H, float(t))
-        except ValidationError:
-            rows.append({"t": float(t), **dict.fromkeys(EVOLVE_COLUMNS[1:], float("nan"))})
-            continue
-        rep = classify_positivity(S)
+        S = _cell(lambda: propagator_matrix(H, float(t)))
+        pol = _cell(lambda: matrix_polar(S), S)
+        ft = _cell(lambda: apply_matrix(S, phi), S)
         row = {
             "t": float(t),
-            "im_frobenius": float(np.linalg.norm(S.imag)),
-            "min_eig": float("nan") if rep.min_eigenvalue is None else rep.min_eigenvalue,
+            "im_frobenius": _cell(lambda: float(np.linalg.norm(S.imag)), S),
+            "min_eig": _cell(lambda: classify_positivity(S).min_eigenvalue, S),
+            "polar_residual": _cell(lambda: pol.residual, pol),
+            "bound_u": _cell(lambda: mod_norm_bound_U(pol.U, p, qq, s), pol),
+            "bound_z": _cell(lambda: mod_norm_bound_Z(pol.Z, s), pol),
+            "l2_ratio": _cell(lambda: norm(ft) / phi_norm, ft),
+            "modnorm_ratio": _cell(
+                lambda: discrete_modnorm(sample(ft, gspec), f0, p=p, q=qq, s=s) / base, ft, gspec),
         }
-        try:
-            pol = matrix_polar(S)
-            row["polar_residual"] = pol.residual
-        except (ValidationError, NumericalError):
-            pol = None
-            row["polar_residual"] = float("nan")
-        try:
-            row["bound_u"] = float("nan") if pol is None else mod_norm_bound_U(pol.U, p, qq, s)
-        except NumericalError:
-            row["bound_u"] = float("nan")
-        try:
-            row["bound_z"] = float("nan") if pol is None else mod_norm_bound_Z(pol.Z, s)
-        except NumericalError:
-            row["bound_z"] = float("nan")
-        try:
-            row["bound_combined"] = _in_range(row["bound_u"] * row["bound_z"],
-                                              "combined modulation bound")
-        except NumericalError:
-            row["bound_combined"] = float("nan")
-        try:
-            ft = apply_matrix(S, phi)
-            row["l2_ratio"] = norm(ft) / norm(phi)
-        except NumericalError:
-            ft = None
-            row["l2_ratio"] = float("nan")
-        row["modnorm_ratio"] = float("nan")
-        if gspec is not None and ft is not None:
-            try:
-                ftg = sample(ft, gspec)
-                row["modnorm_ratio"] = discrete_modnorm(ftg, f0, p=p, q=qq, s=s) / base
-            except NumericalError:
-                pass
-        rows.append(row)
+        row["bound_combined"] = _cell(
+            lambda: _in_range(row["bound_u"] * row["bound_z"], "combined modulation bound"),
+            row["bound_u"], row["bound_z"])
+        rows.append({k: float("nan") if row[k] is None else row[k] for k in EVOLVE_COLUMNS})
     return rows
+
+
+def _cell(compute, *needs):
+    """The one NaN rule of a trajectory row: the value of ``compute()``, or
+    ``None`` (a NaN cell) when a value it needs is ``None`` or when it raises
+    :class:`ValidationError` or :class:`NumericalError`."""
+    if any(v is None for v in needs):
+        return None
+    try:
+        return compute()
+    except (ValidationError, NumericalError):
+        return None
 
 
 # ----------------------------------------------------------------------------

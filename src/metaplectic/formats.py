@@ -205,10 +205,9 @@ def load_token(obj, d, what="token"):
     raise FormatError(f"unknown token kind '{op}'")
 
 
-def dump_word(word, d=None):
-    d = word[0].d if (d is None and word) else d
-    _expect(d is not None, "empty words need an explicit dimension")
-    return {"d": int(d), "tokens": [dump_token(t) for t in word]}
+def dump_word(word):
+    _expect(bool(word), "an empty word has no dimension")
+    return {"d": int(word[0].d), "tokens": [dump_token(t) for t in word]}
 
 
 def load_word(obj, what="word"):

@@ -16,16 +16,19 @@ Conventions fixed once:
 
 * the Fourier generator is ``i^{-d/2}`` times the classical transform
   (integral kernel ``exp(-2 pi i x . xi)``);
+* inside the module a state or a sum is one parameter stack ``c (k,)``,
+  ``Q (k, d, d)``, ``b (k, d)``, ``degenerate (k,)``, and every operation
+  is arithmetic on it: a word takes each token's matrix, determinant root
+  and numpy step once, not once per term.  :func:`_stack` is the one entry,
+  where a sum must have one dimension, and :func:`_unstack` the one exit,
+  where states are built.  An empty sum has no dimension: the maps (shifts,
+  conjugation, token, word and matrix action) keep it empty, its inner
+  products are 0, and the other operations raise :class:`ValidationError`;
 * every token except a rescale acts through one formula, the matrix
   action ``Q -> (C + D Q)(A + B Q)^{-1}`` of :func:`apply_matrix`;
-* a sum travels through a whole word as one stack of parameters
-  ``c (k,)``, ``Q (k, d, d)``, ``b (k, d)``: the token matrix, the
-  determinant root of the matrix and each numpy step are taken once per
-  token, not once per term, and a single state is a stack of one;
 * each token's output is validated once, as a stack, with the tests of
   :class:`GaussianState` (the symmetry test only after a rescale, the
-  matrix action being symmetric by construction), and states are built at
-  the boundary, when the result leaves the module;
+  matrix action being symmetric by construction);
 * square roots of determinants are taken eigenvalue-by-eigenvalue on the
   principal branch; for a token matrix ``det(A + iB)^{-1/2}`` is then the
   token's metaplectic phase, so words carry a definite phase;
@@ -144,18 +147,37 @@ def _validated(Q, degenerate, symmetric):
         raise
 
 
-def _stack(terms):
-    """Parameter stack ``(c, Q, b, degenerate)`` of a nonempty list of
-    states of one dimension."""
+def _stack(f, empty=False):
+    """The parameter stack ``(c, Q, b, degenerate)`` of a state or a sum,
+    the one entry of the module: the terms of a sum must share one
+    dimension.  An empty sum has none; it is ``None`` where ``empty`` admits
+    it and a :class:`ValidationError` elsewhere."""
+    terms = f if isinstance(f, list) else [f]
+    if not terms:
+        if empty:
+            return None
+        raise ValidationError("empty Gaussian sum has no dimension")
+    dims = {g.d for g in terms}
+    if len(dims) > 1:
+        raise ValidationError(f"a Gaussian sum needs one dimension, not {sorted(dims)}")
     return (np.array([g.c for g in terms]), np.array([g.Q for g in terms]),
             np.array([g.b for g in terms]), np.array([g.allow_degenerate for g in terms]))
 
 
-def _states(c, Q, b, degenerate):
-    """The states of a validated stack."""
-    d = Q.shape[-1]
-    return [GaussianState._from_valid(d, complex(ck), Qk, bk, bool(gk))
-            for ck, Qk, bk, gk in zip(c, Q, b, degenerate)]
+def _unstack(stack, *like):
+    """The states of a validated stack, the one exit of the module: a list
+    when any of the inputs ``like`` is a sum, else the one state."""
+    c, Q, b, degenerate = stack
+    out = [GaussianState._from_valid(Q.shape[-1], complex(ck), Qk, bk, bool(gk))
+           for ck, Qk, bk, gk in zip(c, Q, b, degenerate)]
+    return out if any(isinstance(x, list) for x in like) else out[0]
+
+
+def _map(op, f):
+    """``op`` on the stack of ``f``, as states shaped like ``f``; an empty
+    sum stays empty."""
+    stack = _stack(f, empty=True)
+    return [] if stack is None else _unstack(op(*stack), f)
 
 
 def standard_gaussian(d):
@@ -165,42 +187,33 @@ def standard_gaussian(d):
 
 def conjugate_state(f):
     """State of ``conj(f)``: ``Q -> -conj Q``, ``b -> -conj b``, ``c -> conj c``."""
-    if isinstance(f, list):
-        return [conjugate_state(t) for t in f]
-    # Im(-conj Q) = Im Q and -conj Q is symmetric: f's checks still hold
-    return GaussianState._from_valid(f.d, f.c.conjugate(), -np.conj(f.Q), -np.conj(f.b),
-                                     f.allow_degenerate)
-
-
-def _terms(f):
-    return f if isinstance(f, list) else [f]
-
-
-def _sum_dim(terms):
-    """Dimension of a nonempty list of terms; an empty sum has none."""
-    if not terms:
-        raise ValidationError("empty Gaussian sum has no dimension")
-    return terms[0].d
+    # Im(-conj Q) = Im Q and -conj Q is symmetric: the stack's checks still hold
+    return _map(lambda c, Q, b, degenerate: (np.conj(c), -np.conj(Q), -np.conj(b), degenerate),
+                f)
 
 
 def eval_state(f, x):
     """Evaluate a state or sum at points ``x`` (shape ``(..., d)``; for d=1
     plain scalars/vectors are accepted)."""
-    terms = _terms(f)
-    d = _sum_dim(terms)
+    return _eval(_stack(f), x)
+
+
+def _eval(stack, x):
+    """:func:`eval_state` of a stack."""
+    c, Q, b, _ = stack
+    d = Q.shape[-1]
     x = np.asarray(x, dtype=complex)
     if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
         x = x[..., None]
-    acc = 0
-    for t in terms:
-        quad = np.einsum("...i,ij,...j->...", x, t.Q, x)
-        lin = x @ t.b
-        acc = acc + t.c * np.exp(1j * np.pi * quad + 2j * np.pi * lin)
-    return acc
+    if x.shape[-1] != d:
+        raise ValidationError(f"evaluation points need {d} coordinates")
+    quad = np.einsum("...i,kij,...j->...k", x, Q, x)
+    return np.sum(c * np.exp(1j * np.pi * quad + 2j * np.pi * (x @ b.T)), axis=-1)
 
 
 def det_pow(M, power):
-    """``det(M)^power`` as a product of per-eigenvalue principal powers.
+    """``det(M)^power`` as a product of per-eigenvalue principal powers, for
+    a matrix or for each member of a stack ``(..., d, d)``.
 
     This is the branch convention used throughout: it is continuous along
     the parameter paths generated by the token semigroup, where the whole
@@ -209,11 +222,13 @@ def det_pow(M, power):
     lam = np.linalg.eigvals(np.atleast_2d(M))
     if np.any(np.abs(lam) < 1e-300):
         raise DecompositionError("singular matrix in determinant power")
-    return complex(np.exp(power * np.sum(np.log(lam))))
+    return np.exp(power * np.sum(np.log(lam), axis=-1))
 
 
 def gaussian_integral(M, z):
-    """``int exp(-pi M y.y - 2 pi i z.y) dy = det(M)^{-1/2} exp(-pi M^{-1} z.z)``.
+    """``int exp(-pi M y.y - 2 pi i z.y) dy = det(M)^{-1/2} exp(-pi M^{-1} z.z)``,
+    for one ``M`` and ``z`` or for each member of stacks ``(..., d, d)`` and
+    ``(..., d)``.
 
     Requires ``Re M`` positive definite (absolute convergence).  The
     determinant root is the product of principal eigenvalue roots, which on
@@ -222,11 +237,12 @@ def gaussian_integral(M, z):
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    ReM = (M.real + M.real.T) / 2
-    w = np.linalg.eigvalsh(ReM)
-    if w[0] <= 0:
+    ReM = (M.real + M.real.swapaxes(-1, -2)) / 2
+    if (np.linalg.eigvalsh(ReM)[..., 0] <= 0).any():
         raise ValidationError("gaussian_integral requires Re M positive definite")
-    return det_pow(M, -0.5) * np.exp(-np.pi * np.linalg.solve(M, z) @ z)
+    y = np.linalg.solve(M, z[..., None])
+    # a row-times-column product rounds as the vector dot does
+    return det_pow(M, -0.5) * np.exp((-np.pi * y.swapaxes(-1, -2) @ z[..., None])[..., 0, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -236,11 +252,8 @@ def gaussian_integral(M, z):
 def shift(f, z, tau=0.0):
     """Time-frequency shift ``e^{2 pi i tau} e^{-i pi x0.xi0} e^{2 pi i xi0.y} f(y - x0)``
     with real phase-space point ``z = (x0, xi0)``."""
-    z = np.asarray(z, dtype=float)
-    if any(z.shape != (2 * t.d,) for t in _terms(f)):
-        raise ValidationError("shift expects a real phase-space point of length 2d")
-    d = z.size // 2
-    return complex_shift(f, z[:d], z[d:], tau)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    return complex_shift(f, z[:z.size // 2], z[z.size // 2:], tau)
 
 
 def complex_shift(f, zx, zw, tau=0.0):
@@ -251,28 +264,30 @@ def complex_shift(f, zx, zw, tau=0.0):
     parameter update.  Non-finite parameters are a :class:`ValidationError`,
     and a shift whose new state overflows is a :class:`NumericalError`.
     """
+    return _map(lambda *stack: _shift(stack, zx, zw, tau), f)
+
+
+def _shift(stack, zx, zw, tau):
+    """:func:`complex_shift` of a stack."""
+    c, Q, b, degenerate = stack
     zx = np.atleast_1d(np.asarray(zx, dtype=complex))
     zw = np.atleast_1d(np.asarray(zw, dtype=complex))
     if not (np.isfinite(zx).all() and np.isfinite(zw).all() and np.isfinite(tau)):
         raise ValidationError("shift parameters must be finite")
+    if not zx.shape == zw.shape == b.shape[1:]:
+        raise ValidationError(f"a shift in dimension {b.shape[1]} needs a point of length "
+                              f"{2 * b.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = [_shift_term(t, zx, zw, tau) for t in _terms(f)]
-    return out if isinstance(f, list) else out[0]
-
-
-def _shift_term(f, zx, zw, tau):
-    """:func:`complex_shift` of one state by finite parameters."""
-    b = f.b + zw - f.Q @ zx
-    c = f.c * np.exp(2j * np.pi * tau
-                     - 1j * np.pi * zx @ zw
-                     + 1j * np.pi * (f.Q @ zx) @ zx
-                     - 2j * np.pi * f.b @ zx)
-    if b.shape != (f.d,):
-        raise ValidationError(f"state shape mismatch: d={f.d}, Q {f.Q.shape}, b {b.shape}")
-    if not (np.isfinite(c) and np.isfinite(b).all()):
+        Qz = Q @ zx
+        c = c * np.exp(2j * np.pi * tau
+                       - 1j * np.pi * zx @ zw
+                       + 1j * np.pi * Qz @ zx
+                       - 2j * np.pi * b @ zx)
+        b = b + zw - Qz
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
         raise NumericalError("shifted state overflows")
-    # Q is unchanged, so f's checks on it still hold
-    return GaussianState._from_valid(f.d, complex(c), f.Q, b, f.allow_degenerate)
+    # Q is unchanged, so the stack's checks on it still hold
+    return c, Q, b, degenerate
 
 
 # ----------------------------------------------------------------------------
@@ -296,33 +311,30 @@ def apply_token(t, f):
 def apply_word(word, f):
     """Apply a generator word; the first token in the list acts last.
 
-    The sum travels through the word as one parameter stack, and states are
-    built once, from the last token's output.  Each token is checked (type,
-    then dimension against every term) when it is reached, so a word fails
-    at the same token, with the same error, as applying its tokens one at a
-    time.
+    Each token is checked (type, then dimension) when it is reached, so a
+    word fails at the same token, with the same error, as applying its
+    tokens one at a time.
     """
-    terms = _terms(f)
-    dims = [g.d for g in terms]
-    stack = None
+    stack = _word(word, _stack(f, empty=True))
+    return [] if stack is None else _unstack(stack, f)
+
+
+def _word(word, stack):
+    """:func:`apply_word` on a stack; on ``None``, an empty sum, only the
+    token types are checked."""
     for t in reversed(word):
         if not isinstance(t, Token):
             raise ValidationError("apply_token expects a generator token")
-        for d in dims:
-            if t.d != d:
-                raise ValidationError(f"token dimension {t.d} does not match state dimension {d}")
-        if not terms:
-            continue
         if stack is None:
-            stack = _stack(terms)
+            continue
+        d = stack[2].shape[1]
+        if t.d != d:
+            raise ValidationError(f"token dimension {t.d} does not match state dimension {d}")
         if t.op == "rescale":
             stack = _rescale(t.matrix_param().real, t.maslov, *stack)
         else:
-            stack = _act(_matrix_blocks(token_matrix(t), dims), *stack)
-    if stack is None:
-        return f
-    out = _states(*stack)
-    return out if isinstance(f, list) else out[0]
+            stack = _act(_matrix_blocks(token_matrix(t), d), *stack)
+    return stack
 
 
 def _rescale(E, maslov, c, Q, b, degenerate):
@@ -332,13 +344,13 @@ def _rescale(E, maslov, c, Q, b, degenerate):
             degenerate)
 
 
-def _matrix_blocks(S, dims):
-    """The blocks of a finite matrix that acts on states of dimensions ``dims``."""
+def _matrix_blocks(S, d):
+    """The blocks of a finite matrix that acts on states of dimension ``d``."""
     S = np.asarray(S, dtype=complex)
     A, B, C, D = blocks(S)
     if not np.isfinite(S).all():
         raise ValidationError("matrix must be finite")
-    if any(d != A.shape[0] for d in dims):
+    if A.shape[0] != d:
         raise ValidationError("matrix dimension does not match state dimension")
     return A, B, C, D
 
@@ -359,17 +371,9 @@ def apply_matrix(S, f):
     misses 0, so ``det_pow(T0, -1/2) prod_j lam_j^{-1/2}`` is the
     continuation from the ground state.  The result is one linear operator,
     equal to the word route up to one global sign (and exactly in ``Q`` and
-    ``b``).
-
-    A sum acts as one stack: the blocks and the root of ``det T0`` are taken
-    once, and each step of the term algebra is one batched call over the
-    ``(k, d, d)`` stack of the ``k`` terms.  A single state is a stack of one.
+    ``b``).  The blocks and the root of ``det T0`` are taken once per sum.
     """
-    terms = _terms(f)
-    if not terms:
-        return []
-    out = _states(*_act(_matrix_blocks(S, [g.d for g in terms]), *_stack(terms)))
-    return out if isinstance(f, list) else out[0]
+    return _map(lambda *stack: _act(_matrix_blocks(S, stack[2].shape[1]), *stack), f)
 
 
 def _act(ABCD, c, Q, b, degenerate):
@@ -416,14 +420,18 @@ def _act(ABCD, c, Q, b, degenerate):
 # ----------------------------------------------------------------------------
 
 def inner_product(f, g):
-    """L^2 inner product ``<f, g> = int f conj(g)`` of states or sums."""
-    total = 0j
-    for tf in _terms(f):
-        for tg in _terms(g):
-            M = -1j * (tf.Q - np.conj(tg.Q))
-            z = tf.b - np.conj(tg.b)
-            total += tf.c * np.conj(tg.c) * gaussian_integral(M, z)
-    return total
+    """L^2 inner product ``<f, g> = int f conj(g)`` of states or sums: one
+    :func:`gaussian_integral` over the ``(k, m, d, d)`` stack of the pairs
+    of terms."""
+    fs, gs = _stack(f, empty=True), _stack(g, empty=True)
+    if fs is None or gs is None:
+        return 0j
+    (fc, fQ, fb, _), (gc, gQ, gb, _) = fs, gs
+    if fQ.shape[-1] != gQ.shape[-1]:
+        raise ValidationError("both slots of an inner product need one dimension")
+    M = -1j * (fQ[:, None] - np.conj(gQ))
+    z = fb[:, None] - np.conj(gb)
+    return np.sum(fc[:, None] * np.conj(gc) * gaussian_integral(M, z))
 
 
 def norm(f):
@@ -446,31 +454,27 @@ def wigner_gaussian(f, g=None):
     phase ``exp(-i pi d/4)`` the amplitude cancels in advance.  ``W(f, f)``
     is real; for the standard Gaussian ``W = 2^{d/2} exp(-2 pi |z|^2)``.
     """
-    if g is None:
-        g = f
-    fterms, gterms = _terms(f), _terms(g)
-    d = _sum_dim(fterms)
-    if _sum_dim(gterms) != d:
+    fs = _stack(f)
+    gs = fs if g is None else _stack(g)
+    (fc, fQ, fb, fdeg), (gc, gQ, gb, gdeg) = fs, gs
+    d = fQ.shape[-1]
+    if gQ.shape[-1] != d:
         raise ValidationError("both slots of a Wigner distribution need one dimension")
     I = np.eye(d)
     Ew = from_blocks(I, I / 2, I, -I / 2)
     X = np.diag(np.r_[np.ones(d), np.zeros(d)])
     Y = np.eye(2 * d) - X
     F2 = from_blocks(X, Y, -Y, X)
-    phase = np.exp(0.25j * np.pi * d)
     # the tensor of each term of f with the conjugate of each term of g, as
     # one (k m)-stack: Q = Ew^T diag(Qf, -conj Qg) Ew, b = Ew^T (bf, -conj bg)
-    _, fQ, fb, fdeg = _stack(fterms)
-    _, gQ, gb, gdeg = _stack(gterms)
-    k, m = len(fterms), len(gterms)
-    Qt = np.zeros((k, m, 2 * d, 2 * d), dtype=complex)
+    Qt = np.zeros((len(fc), len(gc), 2 * d, 2 * d), dtype=complex)
     Qt[..., :d, :d], Qt[..., d:, d:] = fQ[:, None], -np.conj(gQ)
     bt = np.concatenate(np.broadcast_arrays(fb[:, None], -np.conj(gb)), axis=-1)
-    c = np.array([phase * tf.c * tg.c.conjugate() for tf in fterms for tg in gterms])
+    c = (np.exp(0.25j * np.pi * d) * fc[:, None] * np.conj(gc)).reshape(-1)
     deg = (fdeg[:, None] | gdeg).reshape(-1)
     Q = _validated(Ew.T @ Qt.reshape(-1, 2 * d, 2 * d) @ Ew, deg, symmetric=False)
-    out = _states(*_act(_matrix_blocks(F2, [2 * d]), c, Q, bt.reshape(-1, 2 * d) @ Ew, deg))
-    return out if (isinstance(f, list) or isinstance(g, list)) else out[0]
+    return _unstack(_act(_matrix_blocks(F2, 2 * d), c, Q, bt.reshape(-1, 2 * d) @ Ew, deg),
+                    f, g)
 
 
 # ----------------------------------------------------------------------------
@@ -488,13 +492,13 @@ def check_intertwining(word, z, tau, f):
     over parameters and over pointwise samples; a discrepancy that is not
     finite (a route overflowed) is a :class:`NumericalError`.
     """
-    terms = _terms(f)
-    d = _sum_dim(terms)
+    stack = _stack(f)
+    k, d = stack[2].shape
     z = np.asarray(z, dtype=float)
     S = word_to_matrix(word)
     if word_dim(word) != d or z.shape != (2 * d,):
         raise ValidationError("word, state, and shift dimensions must agree")
-    shifted = shift(terms, z, tau)
+    shifted = _shift(stack, z[:d], z[d:], tau)
     # an overflow anywhere below ends in a discrepancy that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         Sz = S @ z
@@ -502,22 +506,17 @@ def check_intertwining(word, z, tau, f):
             raise NumericalError("image of the shift under the word overflows")
         # both routes share one stack through the word: the shifted terms,
         # then the terms themselves
-        both = apply_word(word, shifted + terms)
-        left = both[:len(terms)]
-        right = complex_shift(both[len(terms):], Sz[:d], Sz[d:], tau)
-
-        parts = []
-        for lt, rt in zip(left, right):
-            parts.append(np.linalg.norm(lt.Q - rt.Q) / max(1.0, np.linalg.norm(lt.Q)))
-            parts.append(np.linalg.norm(lt.b - rt.b) / max(1.0, np.linalg.norm(lt.b)))
-            parts.append(np.abs(lt.c - rt.c) / max(1.0, np.abs(lt.c)))
-
+        both = _word(word, tuple(np.concatenate(p) for p in zip(shifted, stack)))
+        left = tuple(p[:k] for p in both)
+        right = _shift(tuple(p[k:] for p in both), Sz[:d], Sz[d:], tau)
+        # per term, the gaps in c, Q and b, each relative above size one
+        parts = [np.linalg.norm((lp - rp).reshape(k, -1), axis=1)
+                 / np.maximum(1.0, np.linalg.norm(lp.reshape(k, -1), axis=1))
+                 for lp, rp in zip(left[:3], right[:3])]
         ts = np.linspace(-1.5, 1.5, 7)
-        dirs = [np.ones(d), np.eye(d)[0]]
-        pts = np.concatenate([np.outer(ts, v) for v in dirs], axis=0)
-        lv = eval_state(left, pts)
-        rv = eval_state(right, pts)
-        parts.append(np.max(np.abs(lv - rv)) / max(1.0, np.max(np.abs(lv))))
+        pts = np.concatenate([np.outer(ts, v) for v in (np.ones(d), np.eye(d)[0])], axis=0)
+        lv, rv = _eval(left, pts), _eval(right, pts)
+        parts = np.concatenate(parts + [[np.max(np.abs(lv - rv)) / max(1.0, np.max(np.abs(lv)))]])
     if not np.isfinite(parts).all():
         raise NumericalError("intertwining residual is not finite")
-    return float(max(parts))
+    return float(parts.max())

@@ -273,9 +273,10 @@ def classify_positivity(S):
     eigenvalue with relative margin ``1e-9 * ||M||_2``.
     """
     S = np.asarray(S, dtype=complex)
-    if not is_symplectic(S):
+    try:
+        M = positivity_matrix(S)  # runs the one symplectic test of this call
+    except ValidationError:
         return PositivityReport("NotSymplectic")
-    M = positivity_matrix(S)
     w = np.linalg.eigvalsh(M)
     mn = float(w[0])
     margin = 1e-9 * float(np.max(np.abs(w))) if w.size else 0.0  # own spectrum, no floor
@@ -975,17 +976,17 @@ def classify_conjugation_commuting(S):
 # sampling
 # ----------------------------------------------------------------------------
 
-def random_word(rng, d, max_len=8, scale=0.6):
+def random_word(rng, d, max_len=8):
     """Draw a random generator word inside the positivity domain.
 
-    Parameters are kept at moderate scale so that products of up to
+    Parameters are kept at the moderate scale 0.6 so that products of up to
     ``max_len`` factors stay well-conditioned for the fixed tolerances.
     """
     def sym(M):
-        return (M + M.T) / 2
+        return (M + M.T) / 2 * 0.6
 
-    def psd(s):
-        G = rng.standard_normal((d, d)) * s
+    def psd():
+        G = rng.standard_normal((d, d)) * 0.6
         return G @ G.T / max(1, d)
 
     n = int(rng.integers(1, max_len + 1))
@@ -995,7 +996,7 @@ def random_word(rng, d, max_len=8, scale=0.6):
         if kind == 0:
             word.append(fourier(d))
         elif kind == 1:
-            Q = sym(rng.standard_normal((d, d))) * scale + 1j * psd(scale)
+            Q = sym(rng.standard_normal((d, d))) + 1j * psd()
             word.append(chirp(Q))
         elif kind == 2:
             q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -1003,7 +1004,7 @@ def random_word(rng, d, max_len=8, scale=0.6):
             E = q1 @ np.diag(np.exp(rng.uniform(-0.5, 0.5, d))) @ q2
             word.append(rescale(E, maslov=int(rng.integers(0, 4))))
         elif kind == 3:
-            P = sym(rng.standard_normal((d, d))) * scale - 1j * psd(scale)
+            P = sym(rng.standard_normal((d, d))) - 1j * psd()
             word.append(multiplier(P))
         elif kind == 4:
             word.append(atom_r(rng.uniform(0.0, 0.8, d)))

@@ -125,8 +125,9 @@ def build_covariant(A11, A13, A21):
     if not semidefinite(-symbol_exponent(spec).imag, 1e-10):
         raise ValidationError("symbol exponent needs Im B <= 0; "
                               "this parameter triple is outside the covariant cone")
-    require_symplectic(A, what="covariant representation matrix")
     rep = classify_positivity(A)
+    if rep.klass == "NotSymplectic":
+        require_symplectic(A, what="covariant representation matrix")  # raises
     if not rep.positive:
         raise ModelError("covariant matrix with admissible symbol failed the positivity test")
     return spec

@@ -187,6 +187,17 @@ def _exits_cleanly(r, code):
     assert "Traceback" not in r.stderr
 
 
+def test_gaussian_wigner_rejects_a_sum_of_two_dimensions(runner, tmp_path):
+    # ended in a raw numpy ValueError traceback
+    path = tmp_path / "mixed.json"
+    path.write_text(F.dumps_json(F.dump_sum([GaussianState(1, 1.0, [[1j]], [0.0]),
+                                             GaussianState(2, 1.0, 1j * np.eye(2), [0.0, 0.0])])))
+    r = runner.invoke(main, ["gaussian", "wigner", "--state", str(path)])
+    _exits_cleanly(r, 1)
+    assert r.stderr.startswith("validation error:") and "one dimension" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_gaussian_apply_rejects_non_symplectic_matrix(runner, files, tmp_path):
     # 2I scales the standard Gaussian but is no symplectic matrix
     path = tmp_path / "twice.json"

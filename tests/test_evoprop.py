@@ -286,6 +286,17 @@ def test_evolve_trajectory_mixed_harmonic_nan_policy():
     assert np.isfinite(r["l2_ratio"])
 
 
+def test_evolve_trajectory_cell_that_fails_validation_is_nan():
+    # a pure dispersion at long times: the exponential factor of the huge
+    # real shear fails its symplectic check, which ended the whole sweep
+    rows = evolve_trajectory(heat_hamiltonian(1.0, 0.0, 1), [1e3, 1e6], grid_n=64)
+    assert np.isfinite(rows[0]["bound_z"])
+    r = rows[1]
+    assert np.isnan(r["bound_z"]) and np.isnan(r["bound_combined"])
+    assert np.isfinite(r["bound_u"]) and abs(r["l2_ratio"] - 1.0) < 1e-9
+    assert list(r) == EVOLVE_COLUMNS
+
+
 def test_cone_profile_full_plane_is_moyal():
     spec = GridSpec(1, 256, 1 / 16.0)
     phi = standard_gaussian(1)

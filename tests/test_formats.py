@@ -87,6 +87,11 @@ def test_word_round_trip_all_tokens():
     assert np.allclose(word_to_matrix(w2), word_to_matrix(word))
 
 
+def test_empty_word_does_not_dump():
+    with pytest.raises(FormatError, match="empty word"):
+        F.dump_word([])
+
+
 def test_word_load_rejects_unknown_op():
     with pytest.raises(FormatError):
         F.load_word({"d": 1, "tokens": [{"op": "squeeze"}]})

@@ -408,6 +408,89 @@ def test_wigner_rejects_slots_of_two_dimensions():
         wigner_gaussian(standard_gaussian(1), standard_gaussian(2))
 
 
+def test_every_entry_rejects_a_sum_of_two_dimensions():
+    # these ended in numpy ValueErrors, or returned numbers (a norm of 1.5368)
+    mixed = [standard_gaussian(1), standard_gaussian(2)]
+    one = standard_gaussian(1)
+    calls = {
+        "conjugate_state": lambda: conjugate_state(mixed),
+        "eval_state": lambda: eval_state(mixed, np.zeros(1)),
+        "shift": lambda: shift(mixed, np.zeros(2)),
+        "complex_shift": lambda: complex_shift(mixed, [0.0], [0.0]),
+        "apply_token": lambda: apply_token(fourier(1), mixed),
+        "apply_word": lambda: apply_word([fourier(1)], mixed),
+        "apply_word, empty word": lambda: apply_word([], mixed),
+        "apply_matrix": lambda: apply_matrix(np.eye(2), mixed),
+        "inner_product": lambda: inner_product(mixed, one),
+        "inner_product, second slot": lambda: inner_product(one, mixed),
+        "inner_product, empty first slot": lambda: inner_product([], mixed),
+        "norm": lambda: norm(mixed),
+        "wigner_gaussian": lambda: wigner_gaussian(mixed),
+        "wigner_gaussian, second slot": lambda: wigner_gaussian(one, mixed),
+        "check_intertwining": lambda: check_intertwining([fourier(1)], np.zeros(2), 0.0, mixed),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match="one dimension"):
+            call()
+    # two single states of two dimensions are two slots, not one sum
+    with pytest.raises(ValidationError, match="one dimension"):
+        inner_product(one, standard_gaussian(2))
+
+
+def test_stacked_sum_operations_match_per_term_loops():
+    # the per-term loops that the stack replaced, as references: Q and b
+    # are equal, amplitudes, values and inner products agree to rounding
+    rng = np.random.default_rng(48)
+    for k in range(30):
+        d = 1 + k % 3
+        f = [random_state(rng, d) for _ in range(1 + k % 3)]
+        g = [random_state(rng, d) for _ in range(1 + k % 2)]
+        zx, zw, tau = rng.normal(size=d), rng.normal(size=d), float(rng.normal())
+        for got, t in zip(shift(f, np.r_[zx, zw], tau), f):
+            c = t.c * np.exp(2j * np.pi * tau - 1j * np.pi * zx @ zw
+                             + 1j * np.pi * (t.Q @ zx) @ zx - 2j * np.pi * t.b @ zx)
+            assert np.array_equal(got.Q, t.Q) and np.array_equal(got.b, t.b + zw - t.Q @ zx)
+            assert abs(got.c - c) <= 1e-13 * abs(c)
+        for got, t in zip(conjugate_state(f), f):
+            assert np.array_equal(got.Q, -np.conj(t.Q)) and np.array_equal(got.b, -np.conj(t.b))
+            assert got.c == t.c.conjugate()
+        pairs = [tf.c * np.conj(tg.c) * gaussian_integral(-1j * (tf.Q - np.conj(tg.Q)),
+                                                          tf.b - np.conj(tg.b))
+                 for tf in f for tg in g]
+        assert abs(inner_product(f, g) - sum(pairs)) <= 1e-14 * sum(map(abs, pairs))
+        x = rng.normal(size=(20, d))
+        terms = [t.c * np.exp(1j * np.pi * np.einsum("...i,ij,...j->...", x, t.Q, x)
+                              + 2j * np.pi * x @ t.b) for t in f]
+        assert np.all(np.abs(eval_state(f, x) - sum(terms)) <= 1e-13 * sum(map(np.abs, terms)))
+
+
+def test_points_of_the_wrong_length_are_validation_errors():
+    # a complex shift or an evaluation point of the wrong length ended in a
+    # numpy ValueError
+    g = standard_gaussian(2)
+    for call in (lambda: shift(g, np.zeros(3)), lambda: shift([g, g], np.zeros((2, 2))),
+                 lambda: complex_shift(g, [0.0], [0.0, 0.0]),
+                 lambda: complex_shift(g, [0.0, 0.0, 0.0], [0.0, 0.0]),
+                 lambda: eval_state(g, np.zeros((4, 3)))):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_gaussian_integral_on_a_stack_of_pairs(rng):
+    # one call over a (k, m, d, d) stack equals the per-member calls
+    for d in (1, 2, 3):
+        f = [random_state(rng, d) for _ in range(3)]
+        g = [random_state(rng, d) for _ in range(2)]
+        M = np.array([[-1j * (a.Q - np.conj(b.Q)) for b in g] for a in f])
+        z = np.array([[a.b - np.conj(b.b) for b in g] for a in f])
+        got = gaussian_integral(M, z)
+        assert got.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                want = gaussian_integral(M[i, j], z[i, j])
+                assert abs(got[i, j] - want) <= 1e-15 * abs(want)
+
+
 def _eig_root(M):
     """Product of the principal ``-1/2`` powers of the eigenvalues of ``M``."""
     r = mp.mpf(1)

@@ -2,7 +2,8 @@
 defaulted ``tol`` parameter is passed by some call, no test asserts a value
 that is always true, no module assembles a block matrix with ``np.block``
 (``sympcore.from_blocks`` fills one array), only ``gausscalc`` builds a
-``GaussianState`` from already validated fields, only ``sympcore`` constructs
+``GaussianState`` from already validated fields, inside ``gausscalc`` only
+its two boundary helpers tell a state from a sum, only ``sympcore`` constructs
 a ``Token`` directly, the relative-tolerance rule ``tol * max(1, ||s||)``
 is written only inside ``sympcore.negligible``, no ``numpy.fft`` call
 passes ``out=`` while the package admits numpy before 2.0, and no module
@@ -138,6 +139,46 @@ def test_checker_flags_trusted_constructor():
 def test_only_gausscalc_skips_state_validation(path):
     # every state built elsewhere passes the checks of GaussianState
     assert trusted_constructor_uses(path.read_text()) == []
+
+
+def sum_tests(source, allowed=("_stack", "_unstack")):
+    """Line numbers of the calls ``isinstance(x, list)`` (``list`` alone or in
+    a tuple of types) in ``source`` outside the functions named ``allowed``."""
+    def names_list(node):
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(e, ast.Name) and e.id == "list" for e in elts)
+
+    lines = []
+
+    def scan(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, inside or child.name in allowed)
+                continue
+            if (not inside and isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2
+                    and names_list(child.args[1])):
+                lines.append(child.lineno)
+            scan(child, inside)
+    scan(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_checker_flags_sum_test():
+    source = ("def _stack(f):\n    return f if isinstance(f, list) else [f]\n"
+              "def _unstack(s, *like):\n"
+              "    return any(isinstance(x, list) for x in like)\n"
+              "def apply(f):\n    if isinstance(f, list):\n        pass\n"
+              "    return isinstance(f, (tuple, list))\n"
+              "x = isinstance(y, list)\n"
+              "def g(f):\n    return isinstance(f, dict)\n")
+    assert sum_tests(source) == [6, 8, 9]
+
+
+def test_only_the_boundary_helpers_tell_a_state_from_a_sum():
+    # a Gaussian sum is one parameter stack inside gausscalc: _stack makes
+    # it from a state or a list, _unstack gives back the same shape
+    assert sum_tests((SRC / "gausscalc.py").read_text()) == []
 
 
 def token_constructions(source):

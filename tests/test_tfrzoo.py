@@ -52,6 +52,15 @@ def test_build_covariant_rejects_asymmetric():
                         np.zeros((2, 2)))
 
 
+def test_build_covariant_rejects_a_matrix_that_fails_the_symplectic_test():
+    # the pattern is symplectic by construction, but an entry of 1e200
+    # overflows the test; it stays a validation error, not a failed
+    # positivity test
+    with pytest.raises(ValidationError, match="^covariant representation matrix is not "
+                                              "symplectic within tolerance 1e-10$"):
+        build_covariant(1e200 * I1, np.zeros((1, 1)), np.zeros((1, 1)))
+
+
 def test_build_covariant_rejects_bad_signature():
     # Im B must be negative semidefinite; A13 = +i/2 flips it
     with pytest.raises(ValidationError):
