@@ -35,10 +35,10 @@ from .sympcore import (
     atomic_decompose,
     classify_positivity,
     from_blocks,
+    is_symplectic,
     matrix_polar,
     negligible,
     omega,
-    require_symplectic,
     semidefinite,
     sym_part,
     symplectic_svd,
@@ -137,10 +137,15 @@ def _expm(A):
 def propagator_matrix(H, t):
     """Flow matrix ``S_t = exp(-2 i t F)``; complex symplectic, and positive
     for ``t >= 0``.  The exponential is the numpy Pade routine
-    :func:`_expm`; a flow that overflows fails the symplectic check."""
+    :func:`_expm`.  A finite time's flow is symplectic: a computed one that
+    fails the test (overflowed, or spoiled by squaring) is a numerical error."""
+    if not np.isfinite(t):
+        raise ValidationError("flow time must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # t F past the float range
         S = _expm(-2j * t * hamilton_map(H))
-    return require_symplectic(S, what="propagator matrix")
+    if not is_symplectic(S):
+        raise NumericalError(f"flow at t = {t:g} is not symplectic within tolerance 1e-10")
+    return S
 
 
 def polar_in_time(H, t):

@@ -41,6 +41,7 @@ Conventions fixed once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,10 +339,14 @@ def _word(word, stack):
 
 
 def _rescale(E, maslov, c, Q, b, degenerate):
-    """``f -> i^maslov |det E|^{1/2} f(E x)`` on a stack."""
-    phase, scale = (1j) ** (maslov % 4), np.sqrt(abs(np.linalg.det(E)))
-    return (c * phase * scale, _validated(E.T @ Q @ E, degenerate, symmetric=False), b @ E,
-            degenerate)
+    """``f -> i^maslov |det E|^{1/2} f(E x)`` on a stack; a rescaled state
+    past the float range is a :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c * (1j) ** (maslov % 4) * np.sqrt(abs(np.linalg.det(E)))
+        Q, b = E.T @ Q @ E, b @ E
+    if not (np.isfinite(c).all() and np.isfinite(Q).all() and np.isfinite(b).all()):
+        raise NumericalError("rescaled state leaves the floating-point range")
+    return c, _validated(Q, degenerate, symmetric=False), b, degenerate
 
 
 def _matrix_blocks(S, d):
@@ -420,23 +425,41 @@ def _act(ABCD, c, Q, b, degenerate):
 # ----------------------------------------------------------------------------
 
 def inner_product(f, g):
-    """L^2 inner product ``<f, g> = int f conj(g)`` of states or sums: one
-    :func:`gaussian_integral` over the ``(k, m, d, d)`` stack of the pairs
-    of terms."""
-    fs, gs = _stack(f, empty=True), _stack(g, empty=True)
-    if fs is None or gs is None:
-        return 0j
-    (fc, fQ, fb, _), (gc, gQ, gb, _) = fs, gs
-    if fQ.shape[-1] != gQ.shape[-1]:
-        raise ValidationError("both slots of an inner product need one dimension")
-    M = -1j * (fQ[:, None] - np.conj(gQ))
-    z = fb[:, None] - np.conj(gb)
-    return np.sum(fc[:, None] * np.conj(gc) * gaussian_integral(M, z))
+    """L^2 inner product ``<f, g> = int f conj(g)`` of states or sums, from
+    :func:`_inner`; one that overflows is a :class:`NumericalError`."""
+    a, b, unit = _inner(f, g)
+    out = a * (b * complex(unit))  # Python arithmetic: an overflow is inf, not a warning
+    if not np.isfinite(out):
+        raise NumericalError("inner product overflows")
+    return np.complex128(out)
 
 
 def norm(f):
-    val = inner_product(f, f).real
-    return float(np.sqrt(max(val, 0.0)))
+    """``sqrt <f, f>`` from :func:`_inner`: in range where the norm is."""
+    a, _, unit = _inner(f, f)
+    out = a * math.sqrt(max(float(unit.real), 0.0))
+    if not math.isfinite(out):
+        raise NumericalError("norm overflows")
+    return out
+
+
+def _inner(f, g):
+    """``<f, g> = a b u`` as ``(a, b, u)``: ``a`` and ``b`` are the largest
+    amplitude of each slot rounded down to a power of two (``2^-1022`` at
+    least, so that dividing by it is exact), and ``u`` is one
+    :func:`gaussian_integral` over the ``(k, m, d, d)`` stack of the pairs of
+    terms, the amplitudes divided by ``a`` and ``b``.  Where ``<f, g>`` is
+    in range, ``a b u`` is it to the bit."""
+    fs, gs = _stack(f, empty=True), _stack(g, empty=True)
+    if fs is None or gs is None:
+        return 1.0, 1.0, 0j
+    (fc, fQ, fb, _), (gc, gQ, gb, _) = fs, gs
+    if fQ.shape[-1] != gQ.shape[-1]:
+        raise ValidationError("both slots of an inner product need one dimension")
+    a, b = (math.ldexp(1.0, max(math.frexp(np.abs(c).max())[1] - 1, -1022)) for c in (fc, gc))
+    M = -1j * (fQ[:, None] - np.conj(gQ))
+    z = fb[:, None] - np.conj(gb)
+    return a, b, np.sum((fc / a)[:, None] * np.conj(gc / b) * gaussian_integral(M, z))
 
 
 # ----------------------------------------------------------------------------
@@ -470,7 +493,8 @@ def wigner_gaussian(f, g=None):
     Qt = np.zeros((len(fc), len(gc), 2 * d, 2 * d), dtype=complex)
     Qt[..., :d, :d], Qt[..., d:, d:] = fQ[:, None], -np.conj(gQ)
     bt = np.concatenate(np.broadcast_arrays(fb[:, None], -np.conj(gb)), axis=-1)
-    c = (np.exp(0.25j * np.pi * d) * fc[:, None] * np.conj(gc)).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _act rejects an inf amplitude
+        c = (np.exp(0.25j * np.pi * d) * fc[:, None] * np.conj(gc)).reshape(-1)
     deg = (fdeg[:, None] | gdeg).reshape(-1)
     Q = _validated(Ew.T @ Qt.reshape(-1, 2 * d, 2 * d) @ Ew, deg, symmetric=False)
     return _unstack(_act(_matrix_blocks(F2, 2 * d), c, Q, bt.reshape(-1, 2 * d) @ Ew, deg),

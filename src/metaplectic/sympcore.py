@@ -22,6 +22,10 @@ for complex entries).  The central objects are:
   block-shape classifiers that certify positivity from triangular or
   conjugation-symmetric structure.
 
+Both symplectic normal forms take their frames from one pairing rule,
+Williamson's (:func:`_pairing`): the eigenvectors ``a + ib`` of ``i K``, for an
+antisymmetric ``K`` of full rank, give orthonormal symplectic pairs.
+
 A quantity vanishes by one relative rule (:func:`negligible`): ``x`` is zero
 against a scale ``s`` at ``tol`` when ``||x|| <= tol * max(1, ||s||)``; an
 eigenvalue sign has the like margin against the spectrum (:func:`semidefinite`).
@@ -681,55 +685,43 @@ def matrix_polar(S):
     return PolarDecomposition(U, Z, residual)
 
 
-def _williamson(P):
-    """Normal form of a symmetric positive definite ``P``: returns
-    ``(lam, V)`` with ``V`` real symplectic, ``lam`` descending, and
-    ``P = V^T diag(lam, lam) V``.
+def _pairing(K):
+    """Williamson's pairing of an antisymmetric ``K`` of full rank ``2m``:
+    ``(kappa, O)``, where ``O = sqrt(2) [Im E | Re E]`` over the eigenvectors
+    ``E`` of the positive eigenvalues of ``i K`` is orthogonal, in stacked
+    ``(x, xi)`` order, with ``O^T K O = [[0, diag kappa], [-diag kappa, 0]]``
+    (``kappa`` read off the computed ``O``, ascending up to rounding).  From
+    ``i K (a + ib) = kappa (a + ib)``, ``K a = kappa b`` and ``K b = -kappa a``,
+    and orthogonality to the conjugate (of eigenvalue ``-kappa``) gives
+    ``|a| = |b|`` and ``a . b = 0``."""
+    m = K.shape[0] // 2
+    K = (K - K.T) / 2
+    E = np.linalg.eigh(1j * K)[1][:, m:]
+    O = np.sqrt(2) * np.concatenate([E.imag, E.real], axis=1)
+    return np.diag(O[:, :m].T @ K @ O[:, m:]), O
 
-    The construction block-diagonalizes the antisymmetric
-    ``K = P^{-1/2} J P^{-1/2}`` by an orthogonal matrix built from the
-    eigenvectors of the Hermitian ``i K``; the same orthogonal matrix then
-    block-diagonalizes both half powers of ``P``, and a diagonal rescaling
-    symplectifies it.
+
+def _williamson(P, w, Q):
+    """Normal form of a symmetric positive definite ``P`` with the eigenpairs
+    ``(w, Q)``: returns ``(lam, V)`` with ``V`` real symplectic, ``lam``
+    descending, and ``P = V^T diag(lam, lam) V``.
+
+    The pairing (:func:`_pairing`) of ``K = P^{-1/2} J P^{-1/2}`` is an
+    orthogonal ``O`` with ``O^T K O = [[0, diag kappa], [-diag kappa, 0]]``.
+    Then ``lam = 1 / kappa`` descends as ``kappa`` ascends, and
+    ``V = diag(lam, lam)^{-1/2} O^T P^{1/2}``.
     """
-    P = sym_part(np.asarray(P, dtype=float), "normal form input")
-    n = P.shape[0]
-    d = n // 2
-    J = omega(d)
-    w, Q = np.linalg.eigh(P)
-    if w[0] <= 0:
-        raise DecompositionError("normal form needs a positive definite matrix")
+    J = omega(P.shape[0] // 2)
     Proot = (Q * np.sqrt(w)) @ Q.T
     Pinvroot = (Q / np.sqrt(w)) @ Q.T
-
-    K = Pinvroot @ J @ Pinvroot
-    K = (K - K.T) / 2
-    # an eigenvector a + ib of i K for the eigenvalue kappa > 0 has
-    # K a = kappa b and K b = -kappa a, and is orthogonal to its conjugate
-    # (eigenvalue -kappa), so |a| = |b| and a . b = 0: sqrt(2) (a, b) is an
-    # orthonormal real pair spanning one 2x2 block; ordered (b, a), the block
-    # is [[0, kappa], [-kappa, 0]] with kappa > 0
-    E = np.linalg.eigh(1j * K)[1][:, d:]
-    Zs = np.sqrt(2) * np.stack([E.imag, E.real], axis=2).reshape(n, n)
-    T = Zs.T @ K @ Zs
-    kappa = np.array([T[j, j + 1] for j in range(0, n, 2)])
-    top = float(np.max(np.abs(kappa)))
-    if any(k <= 0 or negligible(k, top, 1e-9) for k in kappa):
+    kappa, O = _pairing(Pinvroot @ J @ Pinvroot)
+    if kappa.min() <= 0 or negligible(kappa.min(), kappa.max(), 1e-9):
         raise DecompositionError("normal form pairing degenerated")
     lam = 1.0 / kappa
-
-    # interleaved pair coordinates -> stacked (x..., xi...)
-    perm = np.r_[np.arange(0, n, 2), np.arange(1, n, 2)]
-    O = Zs[:, perm]
     lam2 = np.r_[lam, lam]
     V = (O.T * (lam2 ** -0.5)[:, None]) @ Proot
 
-    # descending order, permuting x and xi slots together
-    order = np.argsort(-lam)
-    lam = lam[order]
-    V = V[np.r_[order, order + d], :]
-
-    if not negligible(V.T @ np.diag(np.r_[lam, lam]) @ V - P, P, 1e-6):
+    if not negligible(V.T @ np.diag(lam2) @ V - P, P, 1e-6):
         raise DecompositionError("normal form reconstruction failed")
     if not negligible(V @ J @ V.T - J, np.linalg.norm(V) ** 2, 1e-6):
         raise DecompositionError("normal form produced a non-symplectic frame")
@@ -760,29 +752,24 @@ def atomic_decompose(Z):
     -------
     (V, theta, delta)
     """
-    Z = np.asarray(Z, dtype=complex)
     Z = require_symplectic(Z, what="exponential factor")
-    n = Z.shape[0]
-    d = n // 2
-    J = omega(d)
-
-    P = J @ Z.imag
+    d = Z.shape[0] // 2
+    P = omega(d) @ Z.imag
     P = (P + P.T) / 2
 
-    w = np.linalg.eigvalsh(P)
+    w, Q = np.linalg.eigh(P)
     scaleP = float(np.max(np.abs(w))) if w.size else 0.0
     if negligible(scaleP, Z, 1e-9):
-        V, theta, delta = np.eye(n), np.zeros(d), np.zeros(d)
+        V, theta, delta = np.eye(2 * d), np.zeros(d), np.zeros(d)
     elif w[0] < -1e-9 * scaleP:  # P is not zero: against its own spectrum
         raise DecompositionError("J Im Z is not positive semidefinite")
     elif w[0] > 1e-9 * scaleP:
-        lam, V = _williamson(P)
+        lam, V = _williamson(P, w, Q)
         theta, delta = np.arcsinh(lam), np.zeros(d)
     elif d == 1:
         # rank-one form: P = kappa u u^T gives a pure shear atom in the
         # rotated frame with first row u
-        kappa = float(w[-1])
-        u = np.linalg.eigh(P)[1][:, -1]
+        kappa, u = float(w[-1]), Q[:, -1]
         V = np.array([[u[0], u[1]], [-u[1], u[0]]])
         theta, delta = np.zeros(1), np.array([kappa])
     else:
@@ -804,56 +791,43 @@ def symplectic_svd(U):
 
     The generator ``L = log(U^T U)/2`` anticommutes with ``J``, so ``J`` maps
     the ``+mu`` eigenspace onto the ``-mu`` one; an orthonormal eigenbasis of
-    the positive side, completed by ``-J`` images (and a paired basis of the
-    kernel), is automatically orthogonal-symplectic.
+    the positive side, completed by ``-J`` images, is automatically
+    orthogonal-symplectic.  ``J`` maps the kernel of ``L`` onto itself, and
+    there the pairing of :func:`_pairing`, applied to ``J`` on the kernel,
+    gives the ``x`` slots: the rule that builds the frame of the normal form
+    in :func:`atomic_decompose`.
     """
-    U = np.asarray(U, dtype=float)
-    U = require_symplectic(U, what="real symplectic matrix").real
-    n = U.shape[0]
-    d = n // 2
+    U = require_symplectic(np.asarray(U, dtype=float), what="real symplectic matrix").real
+    d = U.shape[0] // 2
     J = omega(d)
 
     G = U.T @ U
-    w, Q = np.linalg.eigh((G + G.T) / 2)
+    w, E = np.linalg.eigh((G + G.T) / 2)
     if w[0] <= 0:
         raise DecompositionError("Gram matrix is not positive definite")
-    # L has the eigenvectors Q and the ascending eigenvalues log(w)/2
-    mu, E = 0.5 * np.log(w), Q
+    # L has the eigenvectors E and the ascending eigenvalues log(w)/2
+    mu = 0.5 * np.log(w)
     top = float(np.max(np.abs(mu)))
-
-    ker = [i for i in range(n) if negligible(mu[i], top, 1e-9)]
-    pos = [i for i in range(n) if mu[i] > 0 and i not in ker][::-1]      # descending
-    if len(pos) + len(ker) // 2 != d or len(ker) % 2:
+    ker = np.array([negligible(x, top, 1e-9) for x in mu])
+    pos = np.flatnonzero((mu > 0) & ~ker)[::-1]      # descending
+    m = np.count_nonzero(ker) // 2
+    if pos.size + m != d or np.count_nonzero(ker) % 2:
         raise DecompositionError("eigenvalue pairing of the symplectic SVD failed")
 
-    cols = [E[:, i] for i in pos]
-    mus = [mu[i] for i in pos]
-    # pair the kernel symplectically: pick the residual column of largest
-    # norm, take out its plane span(v, Jv), repeat (J preserves the kernel,
-    # so every picked vector stays inside it)
-    kbasis = E[:, ker]
-    for _ in range(len(ker) // 2):
-        norms = np.linalg.norm(kbasis, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-8:
-            raise DecompositionError("kernel pairing of the symplectic SVD degenerated")
-        v = kbasis[:, j] / norms[j]
-        cols.append(v)
-        mus.append(0.0)
-        span = np.stack([v, J @ v], axis=1)
-        kbasis = kbasis - span @ (span.T @ kbasis)
-
-    Wcols = np.stack(cols, axis=1)
+    # J maps the kernel onto itself: the x slots of the pairing of J there
+    # complete the frame
+    Wcols, kb = E[:, pos], E[:, ker]
+    if m:
+        Wcols = np.concatenate([Wcols, kb @ _pairing(kb.T @ J @ kb)[1][:, :m]], axis=1)
     Om = np.concatenate([Wcols, -J @ Wcols], axis=1)
-    sig = np.exp(np.array(mus))
-    Dinv = np.r_[1.0 / sig, sig]
-    W = U @ Om * Dinv[None, :]
+    sig = np.exp(np.concatenate([mu[pos], np.zeros(m)]))
+    W = U @ Om * np.r_[1.0 / sig, sig]
 
     recon = (W * np.r_[sig, 1.0 / sig][None, :]) @ Om.T
     if not negligible(recon - U, U, 1e-6):
         raise DecompositionError("symplectic SVD reconstruction failed")
     for F in (W, Om):
-        if np.linalg.norm(F.T @ F - np.eye(n)) > 1e-6:
+        if np.linalg.norm(F.T @ F - np.eye(2 * d)) > 1e-6:
             raise DecompositionError("symplectic SVD frame is not orthogonal")
     return W, sig, Om
 
@@ -879,27 +853,22 @@ def classify_block_triangular(S):
     NotTriangular
         If neither off-diagonal block vanishes.
     """
-    S = require_symplectic(S)
+    S = np.asarray(S, dtype=complex)
+    eigen = classify_positivity(S)  # the one symplectic test of this call
+    if eigen.klass == "NotSymplectic":
+        require_symplectic(S)  # raises
     A, B, C, D = blocks(S)
     normS = np.linalg.norm(S)
     b_zero, c_zero = negligible(B, normS, 1e-9), negligible(C, normS, 1e-9)
     if not (b_zero or c_zero):
         raise NotTriangular("neither off-diagonal block vanishes")
 
-    if b_zero:
-        shape = "lower"
-        diag, off = A, A.T @ C
-        sign = +1
-    else:
-        shape = "upper"
-        diag, off = D, D.T @ B
-        sign = -1
+    shape, diag, off, sign = ("lower", A, A.T @ C, 1) if b_zero else ("upper", D, D.T @ B, -1)
 
     a_real, a_invertible = _real_invertible(diag, 1e-9)
     signature_ok = semidefinite(sign * off.imag, 1e-9)
 
     structural = a_real and a_invertible and signature_ok
-    eigen = classify_positivity(S)
     report = {
         "shape": shape,
         "positive": structural,
@@ -936,7 +905,10 @@ def classify_conjugation_commuting(S):
     NotConjugationSymmetric
         If ``S`` is not fixed by the tilde involution.
     """
-    S = require_symplectic(S)
+    S = np.asarray(S, dtype=complex)
+    eigen = classify_positivity(S)  # the one symplectic test of this call
+    if eigen.klass == "NotSymplectic":
+        require_symplectic(S)  # raises
     normS = np.linalg.norm(S)
     if not negligible(S - tilde(S), normS, 1e-9):
         raise NotConjugationSymmetric("matrix is not fixed by the conjugation symmetry")
@@ -947,7 +919,6 @@ def classify_conjugation_commuting(S):
     upper_ok = semidefinite(-(A @ B.T).imag, 1e-9)
 
     structural = a_real and a_invertible and lower_ok and upper_ok
-    eigen = classify_positivity(S)
     report = {
         "conjugation_symmetric": True,
         "positive": structural,

@@ -140,8 +140,6 @@ def is_covariant(spec):
     equation failed first, the symmetry of the parameter blocks, and the
     semidefiniteness of the symbol exponent.
     """
-    if not isinstance(spec, TFRSpec):
-        spec = TFRSpec(np.asarray(spec).shape[0] // 4, spec)
     A = spec.A
     A11, A13, A21 = _params(A, spec.d)
     normA = np.linalg.norm(A)
@@ -353,8 +351,7 @@ def conjugation_symmetric(spec, detail=False):
     threshold the two may fall on either side of it, by at most the
     condition number of that matrix; the pattern verdict then stands.
     """
-    A = spec.A if isinstance(spec, TFRSpec) else np.asarray(spec, dtype=complex)
-    d = A.shape[0] // 4
+    A, d = spec.A, spec.d
     scale = max(1.0, np.linalg.norm(A))
 
     # column pattern: sign +1 for the first two block rows, -1 for the last

@@ -548,3 +548,29 @@ def test_evolve_bound_that_underflows_is_nan(runner):
         assert row[col("bound_z")] == row[col("bound_combined")] == "nan"
         assert np.isfinite(float(row[col("bound_u")]))
         assert float(row[col("l2_ratio")]) > 0.04
+
+
+def test_tfr_kernel_of_chirp_type(runner, tmp_path):
+    # a real symbol exponent B is neither zero nor decaying: a chirp kernel
+    path = tmp_path / "chirp.json"
+    path.write_text(F.dumps_json(F.dump_tfrspec(
+        build_covariant(np.eye(1) / 2 + 0.1, np.zeros((1, 1)), np.zeros((1, 1))))))
+    r = runner.invoke(main, ["tfr", "kernel", "--tfr", str(path)])
+    assert r.exit_code == 0, r.output
+    ker = json.loads(r.output)
+    assert ker["type"] == "chirp"
+    d, B = F.load_matrix(ker["B"])
+    assert d == 2 and np.abs(B - [[0, -0.1], [-0.1, 0]]).max() <= 1e-15
+
+
+def test_evolve_without_time_steps_is_a_format_error(runner):
+    r = runner.invoke(main, ["evolve", "--example", "heat", "--t-steps", "0"])
+    _exits_cleanly(r, 2)
+    assert "--t-steps must be at least 1" in r.stderr
+
+
+def test_intertwine_shift_that_is_not_a_number_is_a_format_error(runner, files):
+    r = runner.invoke(main, ["gaussian", "intertwine", "--word", files["word.json"],
+                             "--state", files["state.json"], "--z", "1,a"])
+    _exits_cleanly(r, 2)
+    assert "--z must be a comma-separated list of numbers" in r.stderr

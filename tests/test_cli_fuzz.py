@@ -1,5 +1,6 @@
 """Command-line fuzz: every subcommand on small valid files with random
-option values, including nan, inf, zero and negative numbers.
+option values, and the Gaussian commands on state and word files with random
+entries, including nan, inf, zero and negative numbers.
 
 Each case must exit 0, 1, 2 or 3, leave no traceback and no numpy
 ``RuntimeWarning``, and a case that exits 0 must not report a NaN.  The one
@@ -150,6 +151,33 @@ def test_fuzz_gaussian_apply_word(files, state, fmt, q_re, q_im, theta, delta):
         json.dump(word, fh)
     check(["gaussian", "apply", "--word", path, "--state", files[state], "--format", fmt,
            "--grid-n", "16"], output=fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["apply", "wigner", "intertwine"]), st.booleans(), numbers, numbers,
+       numbers, st.sampled_from(["json", "csv", "bin"]))
+def test_fuzz_state_and_word_files(files, command, as_sum, c_re, c_im, factor, fmt):
+    # the state file carries a drawn amplitude, the word file a drawn
+    # rescale factor in front of the Fourier token
+    root = os.path.dirname(files["word"])
+    state = {"d": 1, "c": [c_re, c_im], "Q": {"d": 1, "rows": [[[0.2, 0.8]]]},
+             "b": [[0.3, -0.2]]}
+    word = {"d": 1, "tokens": [{"op": "fourier"},
+                               {"op": "rescale", "E": {"d": 1, "rows": [[[factor, 0.0]]]}}]}
+    paths = {}
+    for name, obj in (("state", [state, {**state, "c": [0.5, 0.0]}] if as_sum else state),
+                      ("word", word)):
+        paths[name] = os.path.join(root, f"fuzzed_{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+    if command == "apply":
+        check(["gaussian", "apply", "--word", paths["word"], "--state", paths["state"],
+               "--format", fmt, "--grid-n", "16"], output=fmt)
+    elif command == "wigner":
+        check(["gaussian", "wigner", "--state", paths["state"]])
+    else:
+        check(["gaussian", "intertwine", "--word", paths["word"], "--state", paths["state"],
+               "--z", "0.3,0.7"])
 
 
 @settings(max_examples=10, deadline=None)

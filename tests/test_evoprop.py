@@ -404,3 +404,35 @@ def test_bounds_that_underflow_are_numerical_errors():
     with pytest.raises(NumericalError, match="floating-point range"):
         mod_norm_bound_U(np.diag([3.0, 1 / 3.0]), s=-400.0)
     assert mod_norm_bound_Z(Z, s=-10.0) > 0
+
+
+@pytest.mark.parametrize("s", [1.0, -0.5])
+def test_cone_profile_full_plane_with_weight(s):
+    # the weighted Riemann sum over the grid; at s = 1 the standard Gaussian
+    # has |W|^2 = 2 exp(-4 pi |z|^2) and the integral 1/2 + 1 / (8 pi)
+    spec = GridSpec(1, 256, 1 / 16.0)
+    phi = standard_gaussian(1)
+    W = grid_wigner(sample(phi, spec), sample(phi, spec))
+    x, y = np.meshgrid(W.spec.axis(), W.spec.axis(), indexing="ij")
+    want = np.sum((1 + x ** 2 + y ** 2) ** s * np.abs(W.values) ** 2) * W.spec.h ** 2
+    got = cone_profile(W, np.array([1.0, 0.0]), np.pi, s)
+    assert abs(got - want) <= 1e-13 * want
+    if s == 1.0:
+        assert abs(got - (0.5 + 1 / (8 * np.pi))) < 1e-8
+
+
+@pytest.mark.parametrize("H, t", [(heat_hamiltonian(), 1e300), (hermite_hamiltonian(), 400.0)])
+def test_flow_past_the_float_range_is_numerical_error(H, t):
+    # these failed the symplectic check as a ValidationError
+    for compute in (propagator_matrix, polar_in_time,
+                    lambda H, t: combined_bound(propagator_matrix(H, t))):
+        with pytest.raises(NumericalError, match="flow at t"):
+            compute(H, t)
+    rows = evolve_trajectory(H, [t], grid_n=16)
+    assert all(np.isnan(v) for k, v in rows[0].items() if k != "t")
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_flow_time_must_be_finite(t):
+    with pytest.raises(ValidationError, match="finite"):
+        propagator_matrix(heat_hamiltonian(), t)

@@ -786,3 +786,48 @@ def test_state_with_infinite_entry_is_rejected_without_warning(Q, degenerate):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
             GaussianState(2, 1, Q, [0, 0], allow_degenerate=degenerate)
+
+
+def test_rescale_past_the_float_range_is_numerical_error():
+    # E^T Q E overflowed with a RuntimeWarning, and the state then failed
+    # its decay test as a ValidationError
+    with pytest.raises(NumericalError, match="rescaled state"):
+        apply_word([rescale([[1e160]])], standard_gaussian(1))
+    with pytest.raises(NumericalError, match="rescaled state"):
+        apply_word([rescale(1e200 * np.eye(2))], GaussianState(2, 1.0, 1j * np.eye(2), [1.0, 0]))
+
+
+def test_wigner_amplitude_past_the_float_range_is_numerical_error():
+    # the product of the two amplitudes overflowed with a RuntimeWarning
+    with pytest.raises(NumericalError, match="amplitude"):
+        wigner_gaussian(GaussianState(1, 1e160, [[1j]], [0.0]))
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300, 1e-200])
+def test_norm_factors_out_the_amplitude(c):
+    # |c|^2 left the float range (norm returned inf with two warnings, or 0
+    # for the tiny amplitude) though the norm c 2^(-1/4) is a float
+    f = GaussianState(1, c, [[1j]], [0.0])
+    assert abs(norm(f) - c * 2.0 ** -0.25) <= 1e-15 * c
+    assert abs(norm([f, f]) - 2 * c * 2.0 ** -0.25) <= 1e-15 * c
+
+
+def test_inner_product_past_the_float_range_is_numerical_error():
+    f = GaussianState(1, 1e160, [[1j]], [0.0])
+    with pytest.raises(NumericalError, match="inner product"):
+        inner_product(f, f)
+    # one huge and one tiny slot: the product is in range
+    g = GaussianState(1, 1e-160, [[1j]], [0.0])
+    assert abs(inner_product(f, g) - 2.0 ** -0.5) <= 1e-15
+
+
+def test_factored_inner_product_matches_the_plain_sum(rng):
+    # sum over pairs of c_f conj(c_g) times the Gaussian integral, unfactored
+    for d in (1, 2, 3):
+        f = [random_state(rng, d) for _ in range(3)]
+        g = [random_state(rng, d) for _ in range(2)]
+        want = sum(a.c * np.conj(b.c) * gaussian_integral(-1j * (a.Q - np.conj(b.Q)),
+                                                          a.b - np.conj(b.b))
+                   for a in f for b in g)
+        assert abs(inner_product(f, g) - want) <= 1e-14 * abs(want)
+        assert inner_product(f, []) == 0 and norm([]) == 0.0

@@ -436,6 +436,30 @@ def test_symplectic_svd_structure():
             assert np.allclose(M.T @ J @ M, J, atol=1e-9)
 
 
+
+def _orthosymplectic(rng, d):
+    # [[X, Y], [-Y, X]] for a unitary X + iY is orthogonal and symplectic
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return from_blocks(q.real, q.imag, -q.imag, q.real)
+
+
+@pytest.mark.parametrize("d, sigma", [(1, [1.0]), (2, [1.0, 1.0]), (3, [1.0, 1.0, 1.0]),
+                                      (2, [2.5, 1.0]), (3, [2.5, 1.0, 1.0])])
+def test_symplectic_svd_pairs_an_exact_kernel(d, sigma):
+    # singular values exactly 1 leave a kernel of log(U^T U) whose frame
+    # comes from pairing J on it
+    rng = np.random.default_rng(52)
+    J = omega(d)
+    for _ in range(10):
+        sig = np.array(sigma)
+        U = _orthosymplectic(rng, d) @ np.diag(np.r_[sig, 1 / sig]) @ _orthosymplectic(rng, d).T
+        W, s, Om = symplectic_svd(U)
+        assert np.abs(s - sig).max() <= 1e-12
+        assert np.linalg.norm(W @ np.diag(np.r_[s, 1 / s]) @ Om.T - U) <= 1e-12 * np.linalg.norm(U)
+        for M in (W, Om):
+            assert np.linalg.norm(M.T @ M - np.eye(2 * d)) <= 1e-12
+            assert np.linalg.norm(M.T @ J @ M - J) <= 1e-12
+
 # ---------------------------------------------------------------- classifiers
 
 def _random_block_triangular(rng, d, upper):
@@ -512,3 +536,40 @@ def test_negligible_is_one_floored_relative_rule():
     assert not negligible(float("nan"), 1.0, 1.0)
     assert not negligible(np.array([1.0, np.nan]), 1e300, 1.0)
     assert negligible(1e300, float("inf"), 1e-9)
+
+
+def test_block_triangular_notes_a_complex_invertible_diagonal_block():
+    # A = (1 + i/2) is invertible but not real: not positive, and the report
+    # says that realness alone failed
+    A = np.array([[1 + 0.5j]])
+    S = from_blocks(A, np.zeros((1, 1)), 0.3j * A, 1 / A)
+    rep = classify_block_triangular(S)
+    assert rep["conditions"] == {"diagonal_block_real": False,
+                                 "diagonal_block_invertible": True,
+                                 "offdiagonal_signature": True}
+    assert not rep["positive"] and rep["agrees"]
+    assert "real" in rep["note"]
+
+
+@pytest.mark.parametrize("classify, word", [
+    (classify_block_triangular, [rescale(np.array([[2.0]])), multiplier(np.array([[-0.4j]]))]),
+    (classify_conjugation_commuting, [chirp(np.array([[0.3j]])), multiplier(np.array([[-0.2j]]))])])
+def test_structural_classifiers_test_symplecticity_once(classify, word, monkeypatch):
+    import metaplectic.sympcore as sc
+
+    calls = []
+
+    def counted(S):
+        calls.append(1)
+        return is_symplectic(S)
+
+    monkeypatch.setattr(sc, "is_symplectic", counted)
+    assert classify(word_to_matrix(word))["agrees"]
+    assert len(calls) == 1
+    # a matrix that is neither symplectic nor of the shape fails as not
+    # symplectic, before the shape test
+    bad = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValidationError) as err:
+        classify(bad)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "matrix is not symplectic within tolerance 1e-10"
