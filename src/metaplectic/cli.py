@@ -158,18 +158,6 @@ def gaussian():
     """Closed-form action on Gaussian states."""
 
 
-def _load_state_or_sum(obj, what):
-    if isinstance(obj, list):
-        return formats.load_sum(obj, what)
-    return formats.load_state(obj, what)
-
-
-def _dump_state_or_sum(f):
-    if isinstance(f, list):
-        return formats.dump_sum(f)
-    return formats.dump_state(f)
-
-
 @gaussian.command("apply")
 @click.option("--word", "word_path", default=None, help="Token word JSON.")
 @click.option("--matrix", "matrix_path", default=None,
@@ -186,7 +174,7 @@ def _dump_state_or_sum(f):
 @_guarded
 def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out):
     """Apply a word (or a positive matrix) to a Gaussian state."""
-    f = _load_state_or_sum(_read_json(state_path, "state"), "state")
+    f = formats.load_state_or_sum(_read_json(state_path, "state"), "state")
     if (word_path is None) == (matrix_path is None):
         raise FormatError("exactly one of --word and --matrix must be given")
     if word_path is not None:
@@ -196,7 +184,7 @@ def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out)
         _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
         g = gausscalc.apply_matrix(sympcore.require_symplectic(S), f)
     if fmt == "json":
-        _emit_json(out, _dump_state_or_sum(g))
+        _emit_json(out, g)
         return
     dim = g[0].d if isinstance(g, list) else g.d
     spec = gridlab.GridSpec(dim, grid_n, 1.0 / np.sqrt(grid_n) if grid_h is None else grid_h)
@@ -213,12 +201,11 @@ def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out)
 @_guarded
 def gaussian_wigner(state_path, state2_path, out):
     """Phase-space distribution of a Gaussian pair, in closed form."""
-    f = _load_state_or_sum(_read_json(state_path, "state"), "state")
+    f = formats.load_state_or_sum(_read_json(state_path, "state"), "state")
     g = None
     if state2_path is not None:
-        g = _load_state_or_sum(_read_json(state2_path, "second state"), "second state")
-    W = gausscalc.wigner_gaussian(f, g)
-    _emit_json(out, _dump_state_or_sum(W))
+        g = formats.load_state_or_sum(_read_json(state2_path, "second state"), "second state")
+    _emit_json(out, gausscalc.wigner_gaussian(f, g))
 
 
 @gaussian.command("intertwine")
@@ -233,7 +220,7 @@ def gaussian_wigner(state_path, state2_path, out):
 def gaussian_intertwine(word_path, state_path, z_text, tau, out):
     """Residual of the exact shift-intertwining relation for a word."""
     word = formats.load_word(_read_json(word_path, "word"))
-    f = _load_state_or_sum(_read_json(state_path, "state"), "state")
+    f = formats.load_state_or_sum(_read_json(state_path, "state"), "state")
     try:
         z = np.array([float(v) for v in z_text.split(",")], dtype=float)
     except ValueError:
@@ -263,21 +250,11 @@ def tfr_classify(tfr_path, out):
     if covariant:
         payload["conjugation_symmetric"] = tfrzoo.conjugation_symmetric(spec)
         try:
-            rep = tfrzoo.classify_spectrogram(spec)
-            rep = dict(rep)
-            for key in ("window_f", "window_g"):
-                if rep.get(key) is not None:
-                    rep[key] = formats.dump_state(rep[key])
-            if "kappa" in rep:
-                rep["kappa"] = formats.dump_complex(rep["kappa"])
-            payload["spectrogram"] = rep
+            payload["spectrogram"] = tfrzoo.classify_spectrogram(spec)
         except NumericalError as e:
             payload["spectrogram"] = {"spectrogram": False, "note": str(e)}
         try:
-            pure = dict(tfrzoo.classify_pure_spectrogram(spec))
-            if pure.get("window") is not None:
-                pure["window"] = formats.dump_state(pure["window"])
-            payload["pure_spectrogram"] = pure
+            payload["pure_spectrogram"] = tfrzoo.classify_pure_spectrogram(spec)
         except NumericalError as e:
             payload["pure_spectrogram"] = {"pure": False, "note": str(e)}
     _emit_json(out, payload)
@@ -291,10 +268,8 @@ def tfr_classify(tfr_path, out):
 def tfr_kernel(tfr_path, out):
     """Convolution kernel against the Wigner distribution."""
     spec = formats.load_tfrspec(_read_json(tfr_path, "representation spec"))
-    ker = dict(tfrzoo.cohen_kernel(spec))
-    if ker["type"] == "gaussian":
-        ker["state"] = formats.dump_state(ker["state"])
-    elif ker["type"] == "chirp":
+    ker = tfrzoo.cohen_kernel(spec)
+    if ker["type"] == "chirp":
         ker["B"] = formats.dump_matrix(ker["B"], 2 * spec.d)
     _emit_json(out, ker)
 
@@ -310,11 +285,7 @@ def tfr_windows(tfr_path, out):
     rep = tfrzoo.classify_spectrogram(spec)
     if not rep["spectrogram"]:
         raise ValidationError(f"representation is not a spectrogram: {rep['clauses']}")
-    _emit_json(out, {
-        "window_f": formats.dump_state(rep["window_f"]),
-        "window_g": formats.dump_state(rep["window_g"]),
-        "kappa": formats.dump_complex(rep["kappa"]),
-    })
+    _emit_json(out, {key: rep[key] for key in ("window_f", "window_g", "kappa")})
 
 
 # ----------------------------------------------------------------------------

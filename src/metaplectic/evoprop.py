@@ -190,16 +190,14 @@ def weyl_pairing(Z, f, g):
 
     The right-hand side is evaluated through the normal form,
     ``<Xi_hat(V_hat f), V_hat g>``: the frame appears once in each slot and
-    the atom acts by exact closed-form tokens.  ``apply_matrix`` realizes
-    one operator for the frame, so its sign cancels between the two slots.
+    the atom acts by exact closed-form tokens.  ``apply_matrix`` fixes its
+    determinant root once per matrix, so both calls realize one operator
+    for the frame and its sign cancels between the two slots.
     Returns ``(lhs, rhs)``.
     """
     V, theta, delta = atomic_decompose(Z)
     lhs = inner_product(_weyl_symbol(V, theta, delta), wigner_gaussian(g, f))
-    # one stack carries both slots through the frame
-    fs, gs = (x if isinstance(x, list) else [x] for x in (f, g))
-    both = apply_matrix(V, fs + gs)
-    fV, gV = both[:len(fs)], both[len(fs):]
+    fV, gV = apply_matrix(V, f), apply_matrix(V, g)
     rhs = inner_product(apply_word([atom_r(theta), atom_p(delta)], fV), gV)
     return lhs, rhs
 

@@ -3,7 +3,9 @@
 All JSON emitters produce deterministic bytes: keys are sorted, separators
 fixed, and floats rendered by ``repr`` (shortest string that round-trips the
 double, at most 17 significant digits), so equal objects serialize to equal
-files.  Complex numbers are ``[re, im]`` pairs throughout.
+files.  Complex numbers are ``[re, im]`` pairs throughout.  :func:`dumps_json`
+is the one writer of reports: it writes a Gaussian state and a complex
+number wherever they occur, so callers hand it results as they are.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = [
     "dump_complex", "load_complex",
     "dump_matrix", "load_matrix",
     "dump_state", "load_state",
-    "dump_sum", "load_sum",
+    "dump_sum", "load_sum", "load_state_or_sum",
     "dump_token", "load_token",
     "dump_word", "load_word",
     "dump_tfrspec", "load_tfrspec",
@@ -38,7 +40,11 @@ __all__ = [
 
 
 def _scalarize(v):
-    # numpy scalars slip into report dictionaries easily; store the builtin
+    # states, complex numbers and numpy scalars sit in report dictionaries
+    if isinstance(v, GaussianState):
+        return dump_state(v)
+    if isinstance(v, complex):  # np.complex128 too
+        return dump_complex(v)
     if isinstance(v, np.generic):
         return v.item()
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
@@ -164,6 +170,14 @@ def dump_sum(states):
 def load_sum(obj, what="Gaussian sum"):
     _expect(isinstance(obj, list) and obj, f"{what} must be a nonempty list of states")
     return [load_state(e, f"{what} term") for e in obj]
+
+
+def load_state_or_sum(obj, what="Gaussian state"):
+    """A JSON object is one state, a list is a sum: the layout
+    :func:`dumps_json` writes for either."""
+    if isinstance(obj, list):
+        return load_sum(obj, what)
+    return load_state(obj, what)
 
 
 def dump_token(t):

@@ -234,7 +234,8 @@ def gaussian_integral(M, z):
     Requires ``Re M`` positive definite (absolute convergence).  The
     determinant root is the product of principal eigenvalue roots, which on
     the convergence domain agrees with the continuous branch through
-    ``M = I``.
+    ``M = I``.  An integral beyond the float range is a
+    :class:`NumericalError`.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -242,8 +243,12 @@ def gaussian_integral(M, z):
     if (np.linalg.eigvalsh(ReM)[..., 0] <= 0).any():
         raise ValidationError("gaussian_integral requires Re M positive definite")
     y = np.linalg.solve(M, z[..., None])
-    # a row-times-column product rounds as the vector dot does
-    return det_pow(M, -0.5) * np.exp((-np.pi * y.swapaxes(-1, -2) @ z[..., None])[..., 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a row-times-column product rounds as the vector dot does
+        out = det_pow(M, -0.5) * np.exp((-np.pi * y.swapaxes(-1, -2) @ z[..., None])[..., 0, 0])
+    if not np.isfinite(out).all():
+        raise NumericalError("Gaussian integral overflows")
+    return out
 
 
 # ----------------------------------------------------------------------------

@@ -195,8 +195,10 @@ def tfr_gaussian(spec, f, g=None):
 
     The symbol ``exp(-i pi B zeta.zeta)`` multiplies the Fourier transform
     of ``W(f, g)``, which is the multiplier token of ``B`` on the doubled
-    phase space; every step stays inside the Gaussian class.
+    phase space; every step stays inside the Gaussian class.  A spec that
+    is not covariant is a :class:`ValidationError`, as in :func:`cohen_kernel`.
     """
+    _covariant_params(spec)
     W = wigner_gaussian(f, g)
     B = symbol_exponent(spec)
     if np.linalg.norm(B) == 0.0:
@@ -216,9 +218,12 @@ def tfr_grid(spec, f, g=None):
     row permutation of the lag matrix ``K``, so
     :func:`~metaplectic.gridlab.grid_wigner_multiplier` applies the symbol
     to ``K`` directly (the Cohen-class kernel product in the ambiguity
-    domain).  For ``B = 0`` the output is :func:`grid_wigner` itself."""
+    domain).  For ``B = 0`` the output is :func:`grid_wigner` itself.  A
+    spec that is not covariant is a :class:`ValidationError`, as in
+    :func:`cohen_kernel`."""
     if spec.d != 1:
         raise ValidationError("grid route supports d = 1 signals")
+    _covariant_params(spec)
     B = symbol_exponent(spec)
     if np.linalg.norm(B) == 0.0:
         return grid_wigner(f, g)

@@ -76,6 +76,26 @@ def test_sum_round_trip():
     assert gs[1].c == 0.4j
 
 
+def test_dumps_json_writes_states_and_complex_numbers():
+    # reports hold states and complex numbers as the library returns them
+    f = GaussianState(1, 0.4j, [[1.5j]], [0.2], allow_degenerate=True)
+    report = {"state": f, "sum": [f, standard_gaussian(1)], "kappa": np.complex128(1 - 2j),
+              "z": 0.5j, "none": None}
+    assert F.dumps_json(report) == F.dumps_json({
+        "state": F.dump_state(f), "sum": F.dump_sum([f, standard_gaussian(1)]),
+        "kappa": [1.0, -2.0], "z": [0.0, 0.5], "none": None})
+
+
+def test_state_or_sum_reads_what_dumps_json_writes():
+    f = GaussianState(1, 0.4j, [[1.5j]], [0.2])
+    one = F.load_state_or_sum(json.loads(F.dumps_json(f)))
+    assert isinstance(one, GaussianState) and one.c == f.c
+    both = F.load_state_or_sum(json.loads(F.dumps_json([f, f])))
+    assert isinstance(both, list) and [g.c for g in both] == [f.c, f.c]
+    with pytest.raises(FormatError, match="^state must be a nonempty list of states$"):
+        F.load_state_or_sum([], "state")
+
+
 def test_word_round_trip_all_tokens():
     word = [chirp(np.array([[0.5 + 0.1j]])), fourier(1),
             rescale(np.array([[2.0]]), maslov=3),

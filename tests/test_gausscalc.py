@@ -680,8 +680,9 @@ def test_intertwining_equals_two_call_form():
 
 
 def test_weyl_pairing_equals_two_call_form():
-    # the frame acts on f and g as one stack; apart it gives the same sides,
-    # for states and for sums
+    # the frame acts on f and g in two calls of apply_matrix, which fix one
+    # determinant root per matrix: the sides are the two-call formula, for
+    # states and for sums
     rng = np.random.default_rng(47)
     for k in range(20):
         d = 1 + k % 2
@@ -810,6 +811,20 @@ def test_norm_factors_out_the_amplitude(c):
     f = GaussianState(1, c, [[1j]], [0.0])
     assert abs(norm(f) - c * 2.0 ** -0.25) <= 1e-15 * c
     assert abs(norm([f, f]) - 2 * c * 2.0 ** -0.25) <= 1e-15 * c
+
+
+def test_gaussian_integral_past_the_float_range_is_numerical_error():
+    # the exponential ran unguarded: the integral returned inf+nanj after two
+    # RuntimeWarnings, and the norm warned three times before it raised.
+    # The norm is 2^(-1/4), in range, but c = exp(-121 pi) underflows and
+    # its integral overflows: that needs logarithmic amplitudes
+    with pytest.raises(NumericalError, match="^Gaussian integral overflows$"):
+        gaussian_integral([[2]], [-22j])
+    with pytest.raises(NumericalError, match="^Gaussian integral overflows$"):
+        norm(shift(standard_gaussian(1), [11, 0]))
+    # a stack fails as a whole when one member leaves the range
+    with pytest.raises(NumericalError):
+        gaussian_integral([[[2]], [[2]]], [[0j], [-22j]])
 
 
 def test_inner_product_past_the_float_range_is_numerical_error():

@@ -6,9 +6,13 @@ that is always true, no module assembles a block matrix with ``np.block``
 its two boundary helpers tell a state from a sum, only ``sympcore`` constructs
 a ``Token`` directly, the relative-tolerance rule ``tol * max(1, ||s||)``
 is written only inside ``sympcore.negligible``, no ``numpy.fft`` call
-passes ``out=`` while the package admits numpy before 2.0, and no module
+passes ``out=`` while the package admits numpy before 2.0, no module
 imports scipy: the source never names it, and cold commands and the grid
-routes run with every scipy import blocked."""
+routes run with every scipy import blocked.  Each module's ``__all__`` is the
+one list of its public names: every name in it is defined there, no name is
+in two of them, the package namespace holds those of every layer, and
+``import metaplectic`` loads neither ``formats`` nor ``cli``; ``cli`` leaves
+the writing of states and complex numbers to ``formats.dumps_json``."""
 import ast
 import json
 import os
@@ -22,7 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "metaplectic"
 
-# the package root imports names only to re-export them
+# the package root only star-imports the layers
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -514,3 +518,113 @@ def test_grid_transforms_load_no_scipy():
     )
     code, err = _run_blocked(script)
     assert code == 0, err
+
+
+def public_names(source):
+    """The names in the module-level ``__all__`` of ``source``; an empty
+    list when it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def undefined_exports(source):
+    """Names in the ``__all__`` of ``source`` that no module-level def,
+    class or assignment binds; an imported name is not defined there."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(set(public_names(source)) - defined)
+
+
+def test_checker_flags_undefined_export():
+    source = ("from .core import shared\n"
+              "__all__ = ['f', 'C', 'X', 'Y', 'Z', 'shared', 'ghost']\n"
+              "def f(): pass\n"
+              "class C: pass\n"
+              "X = 1\n"
+              "Y, Z = 2, 3\n"
+              "def g():\n    ghost = 1\n")
+    assert undefined_exports(source) == ["ghost", "shared"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined_in_its_module(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def shared_exports(sources):
+    """Names that the ``__all__`` of more than one of ``sources`` lists."""
+    lists = [set(public_names(s)) for s in sources]
+    return sorted({n for i, a in enumerate(lists) for b in lists[i + 1:] for n in a & b})
+
+
+def test_checker_flags_shared_export():
+    sources = ["__all__ = ['a', 'b']\n", "__all__ = ['b', 'c']\n", "x = 1\n",
+               "__all__ = ['c', 'd']\n"]
+    assert shared_exports(sources) == ["b", "c"]
+
+
+def test_no_name_is_exported_twice():
+    # a star import would let the later module shadow the name silently
+    assert shared_exports([p.read_text() for p in MODULES]) == []
+
+
+def unexported(sources, namespace):
+    """Names in the ``__all__`` of ``sources`` that ``namespace`` lacks."""
+    return sorted(n for s in sources for n in public_names(s) if not hasattr(namespace, n))
+
+
+def test_checker_flags_unexported_name():
+    from types import SimpleNamespace
+    sources = ["__all__ = ['a', 'b']\n", "__all__ = ['c']\n", "d = 1\n"]
+    assert unexported(sources, SimpleNamespace(a=1, c=2, d=3)) == ["b"]
+
+
+def test_namespace_holds_every_layer_export():
+    # formats and cli are imported by name
+    import metaplectic
+    layers = [p.read_text() for p in MODULES if p.name not in ("formats.py", "cli.py")]
+    assert unexported(layers, metaplectic) == []
+
+
+def test_package_import_loads_the_layers_only():
+    code, err = _run_blocked(
+        "import metaplectic\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('metaplectic.'))\n"
+        "assert loaded == ['metaplectic.' + m for m in ('errors', 'evoprop', 'gausscalc',"
+        " 'gridlab', 'sympcore', 'tfrzoo')], loaded\n")
+    assert code == 0, err
+
+
+def state_writer_calls(source, names=("dump_state", "dump_sum", "dump_complex")):
+    """Line numbers of the calls in ``source`` of the ``formats`` writers of
+    states, sums and complex numbers, as attributes or as imported names."""
+    tree = ast.parse(source)
+    local = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in names}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Attribute) and node.func.attr in names
+                       or isinstance(node.func, ast.Name) and node.func.id in local))
+
+
+def test_checker_flags_state_writer_call():
+    source = ("from .formats import dump_state as ds, dump_matrix\n"
+              "a = formats.dump_state(f)\n"
+              "b = ds(f)\n"
+              "c = formats.dump_matrix(M, 1)\n"
+              "d = F.dump_sum([f])\n"
+              "e = formats.dump_complex(z)\n"
+              "g = formats.dumps_json(f)\n"
+              "h = dump_matrix(M, 1)\n")
+    assert state_writer_calls(source) == [2, 3, 5, 6]
+
+
+def test_cli_leaves_states_and_complex_numbers_to_dumps_json():
+    assert state_writer_calls((SRC / "cli.py").read_text()) == []

@@ -135,15 +135,35 @@ def test_tfr_grid_without_symbol_is_grid_wigner(rng):
 
 
 def test_tfr_grid_rejects_a_symbol_like_multiplier(rng):
-    # a representation matrix outside the covariant cone (Im B >= 0): the
-    # grid route rejects its symbol with the multiplier token's own error
+    # a representation matrix outside the covariant cone (Im B >= 0), whose
+    # symbol the multiplier token rejects: the grid route rejects the spec
+    # before it reaches the token, with the covariance error of cohen_kernel
     bad = TFRSpec(1, husimi_spec().A.conj())
     f = sample(random_state(rng, 1), GridSpec(1, 64, 1 / 8.0))
-    with pytest.raises(ValidationError) as token:
+    with pytest.raises(ValidationError):
         multiplier(symbol_exponent(bad))
+    with pytest.raises(ValidationError) as kernel:
+        cohen_kernel(bad)
     with pytest.raises(ValidationError) as grid:
         tfr_grid(bad, f)
-    assert str(grid.value) == str(token.value)
+    assert str(grid.value) == str(kernel.value)
+
+
+def test_both_routes_reject_an_off_pattern_spec(rng):
+    # tfr_gaussian and tfr_grid read only the symbol exponent, so they
+    # returned results for a matrix off the covariant block pattern
+    A = husimi_spec().A.copy()
+    A[3, 0] += 0.7
+    bad = TFRSpec(1, A)
+    assert not is_covariant(bad)[0]
+    f = random_state(rng, 1)
+    with pytest.raises(ValidationError, match="^not a covariant representation: ") as kernel:
+        cohen_kernel(bad)
+    with pytest.raises(ValidationError) as closed:
+        tfr_gaussian(bad, f)
+    with pytest.raises(ValidationError) as grid:
+        tfr_grid(bad, sample(f, GridSpec(1, 64, 1 / 8.0)))
+    assert str(closed.value) == str(grid.value) == str(kernel.value)
 
 
 def test_husimi_diagonal_is_spectrogram(rng):
