@@ -120,7 +120,7 @@ def main():
 @_guarded
 def classify(matrix_path, mode, out):
     """Classify a matrix against the positive symplectic cone."""
-    _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
+    _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix", 2)
     if mode == "positivity":
         payload = sympcore.classify_positivity(S).to_dict()
     elif mode == "triangular":
@@ -139,12 +139,11 @@ def classify(matrix_path, mode, out):
 @_guarded
 def polar(matrix_path, out):
     """Split a positive matrix into real and exponential-type factors."""
-    d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
+    d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix", 2)
     pol = sympcore.matrix_polar(S)
-    dd = pol.U.shape[0] // 2
     _emit_json(out, {
-        "U": formats.dump_matrix(pol.U, dd),
-        "Z": formats.dump_matrix(pol.Z, dd),
+        "U": formats.dump_matrix(pol.U, d),
+        "Z": formats.dump_matrix(pol.Z, d),
         "residual": pol.residual,
     })
 
@@ -181,7 +180,7 @@ def gaussian_apply(word_path, matrix_path, state_path, fmt, grid_n, grid_h, out)
         word = formats.load_word(_read_json(word_path, "word"))
         g = gausscalc.apply_word(word, f)
     else:
-        _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix")
+        _d, S = formats.load_matrix(_read_json(matrix_path, "matrix"), "matrix", 2)
         g = gausscalc.apply_matrix(sympcore.require_symplectic(S), f)
     if fmt == "json":
         _emit_json(out, g)
@@ -249,14 +248,8 @@ def tfr_classify(tfr_path, out):
     payload = {"covariant": covariant, "clauses": clauses}
     if covariant:
         payload["conjugation_symmetric"] = tfrzoo.conjugation_symmetric(spec)
-        try:
-            payload["spectrogram"] = tfrzoo.classify_spectrogram(spec)
-        except NumericalError as e:
-            payload["spectrogram"] = {"spectrogram": False, "note": str(e)}
-        try:
-            payload["pure_spectrogram"] = tfrzoo.classify_pure_spectrogram(spec)
-        except NumericalError as e:
-            payload["pure_spectrogram"] = {"pure": False, "note": str(e)}
+        payload["spectrogram"] = tfrzoo.classify_spectrogram(spec)
+        payload["pure_spectrogram"] = tfrzoo.classify_pure_spectrogram(spec)
     _emit_json(out, payload)
 
 

@@ -7,7 +7,10 @@ Three failure families, mapped to CLI exit codes:
 * ``FormatError`` (exit 2): a file or byte stream cannot be parsed or written.
 * ``NumericalError`` (exit 3): the input was admissible but a computation
   could not be completed reliably (failed factorization, unsupported
-  degenerate configuration, model inconsistency detected by a cross-check).
+  degenerate configuration, a result beyond the floating-point range, model
+  inconsistency detected by a cross-check).  A structure that simply does
+  not apply, such as a representation that is not a spectrogram, is a
+  failed clause in a report, not an exception.
 """
 
 
@@ -49,10 +52,6 @@ class UnsupportedRescale(NumericalError):
 
 class UnsupportedShape(NumericalError):
     """Matrix shape/structure outside the scope of the requested estimate."""
-
-
-class UnsupportedSingularBlock(NumericalError):
-    """A block that must be inverted is numerically singular."""
 
 
 class ModelError(NumericalError):

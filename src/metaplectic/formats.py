@@ -108,7 +108,14 @@ def dump_matrix(M, d):
     return {"d": int(d), "rows": [[dump_complex(z) for z in row] for row in M]}
 
 
-def load_matrix(obj, what="matrix"):
+def load_matrix(obj, what="matrix", per=None):
+    """Read a matrix object; returns ``(d, M)``.
+
+    Its ``d`` is the ``n`` of the space the matrix acts on and fixes the
+    shape, ``per * n`` square: ``per = 1`` for an exponent or a token
+    parameter on R^n, 2 for a symplectic matrix or a Hamiltonian, 4 for a
+    representation, and without ``per`` any of the three.  A ``d`` that
+    disagrees with the shape is a :class:`FormatError`."""
     obj = _as_dict(obj, what)
     d = _as_int(_get(obj, "d", what), f"{what} dimension")
     rows = _get(obj, "rows", what)
@@ -120,6 +127,8 @@ def load_matrix(obj, what="matrix"):
         for j, entry in enumerate(row):
             M[i, j] = load_complex(entry, f"{what} entry ({i},{j})")
     _expect(d >= 1, f"{what} dimension must be positive")
+    _expect(n in [k * d for k in ((per,) if per else (1, 2, 4))],
+            f"{what} of dimension d = {d} cannot be {n} x {n}")
     return d, M
 
 
@@ -153,8 +162,8 @@ def load_state(obj, what="Gaussian state"):
     obj = _as_dict(obj, what)
     d = _as_int(_get(obj, "d", what), f"{what} dimension")
     c = load_complex(_get(obj, "c", what), f"{what} amplitude")
-    dq, Q = load_matrix(_get(obj, "Q", what), f"{what} exponent")
-    _expect(dq == d and Q.shape == (d, d), f"{what} exponent shape disagrees with d")
+    dq, Q = load_matrix(_get(obj, "Q", what), f"{what} exponent", 1)
+    _expect(dq == d, f"{what} exponent shape disagrees with d")
     b = load_vector(_get(obj, "b", what), f"{what} linear term")
     _expect(b.size == d, f"{what} linear term must have length d")
     degenerate = obj.get("allow_degenerate", False)
@@ -203,13 +212,13 @@ def load_token(obj, d, what="token"):
     if op == "fourier":
         return fourier(d)
     if op == "chirp":
-        _dq, Q = load_matrix(_get(obj, "Q", what), f"{what} chirp exponent")
+        _dq, Q = load_matrix(_get(obj, "Q", what), f"{what} chirp exponent", 1)
         return chirp(Q)
     if op == "multiplier":
-        _dp, P = load_matrix(_get(obj, "P", what), f"{what} multiplier exponent")
+        _dp, P = load_matrix(_get(obj, "P", what), f"{what} multiplier exponent", 1)
         return multiplier(P)
     if op == "rescale":
-        _de, E = load_matrix(_get(obj, "E", what), f"{what} rescale matrix")
+        _de, E = load_matrix(_get(obj, "E", what), f"{what} rescale matrix", 1)
         m = obj.get("maslov", 0)
         return rescale(E, maslov=_as_int(m, f"{what} phase index"))
     if op == "atom_r":
@@ -242,7 +251,7 @@ def dump_tfrspec(spec):
 def load_tfrspec(obj, what="representation spec"):
     obj = _as_dict(obj, what)
     d = _as_int(_get(obj, "d", what), f"{what} dimension")
-    _da, A = load_matrix(_get(obj, "A", what), f"{what} matrix")
+    _da, A = load_matrix(_get(obj, "A", what), f"{what} matrix", 4)
     _expect(A.shape == (4 * d, 4 * d), f"{what} matrix must be 4d x 4d")
     return TFRSpec(d, A)
 
@@ -254,7 +263,7 @@ def dump_hamiltonian(H):
 def load_hamiltonian(obj, what="Hamiltonian"):
     obj = _as_dict(obj, what)
     d = _as_int(_get(obj, "d", what), f"{what} dimension")
-    _dq, Q = load_matrix(_get(obj, "Q", what), f"{what} coefficient matrix")
+    _dq, Q = load_matrix(_get(obj, "Q", what), f"{what} coefficient matrix", 2)
     _expect(Q.shape == (2 * d, 2 * d), f"{what} coefficient matrix must be 2d x 2d")
     return QuadraticHamiltonian(d, Q)
 

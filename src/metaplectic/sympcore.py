@@ -54,6 +54,7 @@ __all__ = [
     "require_symplectic",
     "sym_part",
     "negligible",
+    "scaled_norms",
     "semidefinite",
     "positivity_matrix",
     "PositivityReport",
@@ -170,8 +171,29 @@ def sym_part(M, what, tol=1e-8):
 
 def negligible(x, scale, tol):
     """The one relative-tolerance rule, ``||x|| <= tol * max(1, ||scale||)``
-    (Frobenius norm of an array, modulus of a number; a nan ``x`` fails)."""
-    return bool(_size(x) <= tol * max(1.0, _size(scale)))
+    (Frobenius norm of an array, modulus of a number; a nan ``x`` fails).
+    The norms are those of :func:`scaled_norms`, so one that overflows
+    does not decide the verdict."""
+    one, (nx, ns) = scaled_norms(x, scale)
+    return bool(nx <= tol * max(one, ns))
+
+
+def scaled_norms(*arrays):
+    """``(one, norms)``: the Frobenius norms (moduli of numbers) of the
+    arrays, each times the power of two ``one``.
+
+    ``one`` is 1 unless a norm overflows; it is then the power of two that
+    brings the largest finite real or imaginary part below one.  Scaling by
+    it is exact, so the norms keep their ratios to each other and to
+    ``one``, and ``max(one, norm)`` stands for ``max(1, norm)``; an array
+    with an infinite entry keeps its infinite norm."""
+    with np.errstate(over="ignore"):
+        norms = [_size(a) for a in arrays]
+    if np.inf not in norms:
+        return 1.0, norms
+    parts = np.abs([p for a in arrays for p in np.ravel([np.real(a), np.imag(a)])])
+    one = np.ldexp(1.0, -int(np.frexp(parts[np.isfinite(parts)].max(initial=0.0))[1]))
+    return one, [_size(a * one) if np.isfinite(a).all() else n for a, n in zip(arrays, norms)]
 
 
 def _size(a):
@@ -534,12 +556,17 @@ def word_to_matrix(word):
     """Product of the token matrices, in list order.
 
     The first token in the list is the leftmost factor, i.e. the operator
-    applied *last*; ``apply_word`` uses the same convention.
+    applied *last*; ``apply_word`` uses the same convention.  A product
+    beyond the floating-point range is a :class:`NumericalError`.
     """
     d = word_dim(word)
+    mats = [token_matrix(t) for t in word]
     S = np.eye(2 * d, dtype=complex)
-    for t in word:
-        S = S @ token_matrix(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for M in mats:
+            S = S @ M
+    if not np.isfinite(S).all():
+        raise NumericalError("word matrix leaves the floating-point range")
     return S
 
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ModelError,
-    UnsupportedSingularBlock,
-    ValidationError,
-)
+from .errors import ModelError, NumericalError, ValidationError
 from .gausscalc import GaussianState, apply_token, det_pow, wigner_gaussian
 from .gridlab import grid_wigner, grid_wigner_multiplier
 from .sympcore import (
@@ -39,6 +35,7 @@ from .sympcore import (
     negligible,
     rescale,
     require_symplectic,
+    scaled_norms,
     semidefinite,
     sym_part,
     tilde,
@@ -102,12 +99,33 @@ def _covariant_matrix(A11, A13, A21):
     return M
 
 
+def _covariant(spec):
+    """The one covariance pass: ``(clauses, (A11, A13, A21), B)``.  The sign
+    and symplectic clauses, and ``B``, wait for the pattern clauses."""
+    A = spec.A
+    blocks = A11, A13, A21 = _params(A, spec.d)
+    with np.errstate(over="ignore"):  # a difference that overflows fails
+        clauses = {
+            "blocks_match_pattern": negligible(A - _covariant_matrix(A11, A13, A21), A, 1e-9),
+            "a13_symmetric": negligible(A13 - A13.T, A, 1e-9),
+            "a21_symmetric": negligible(A21 - A21.T, A, 1e-9),
+        }
+    B = None
+    if all(clauses.values()):
+        B = symbol_exponent(spec)
+        clauses["symbol_signature"] = semidefinite(-B.imag, 1e-9)
+        clauses["symplectic"] = is_symplectic(A)
+    return clauses, blocks, B
+
+
 def _covariant_params(spec):
-    """Parameter blocks of a covariant representation; raises otherwise."""
-    ok, clauses = is_covariant(spec)
-    if not ok:
+    """Parameter blocks and symbol exponent ``B`` of a covariant
+    representation, ``B`` being ``None`` where it vanishes (the
+    representation is Wigner's); raises otherwise."""
+    clauses, blocks, B = _covariant(spec)
+    if not all(clauses.values()):
         raise ValidationError(f"not a covariant representation: {clauses}")
-    return _params(spec.A, spec.d)
+    return blocks, (None if negligible(B, spec.A, 1e-12) else B)
 
 
 def build_covariant(A11, A13, A21):
@@ -136,24 +154,12 @@ def build_covariant(A11, A13, A21):
 def is_covariant(spec):
     """Check the covariant block pattern and the symbol sign condition.
 
-    Returns ``(bool, clauses)``; the clauses record which structural
-    equation failed first, the symmetry of the parameter blocks, and the
-    semidefiniteness of the symbol exponent.
+    Returns ``(bool, clauses)``; the clauses record the structural
+    equations and the symmetry of the parameter blocks and, once those
+    hold, the semidefiniteness of the symbol exponent and the symplectic
+    test.  A clause that was not tested is left out.
     """
-    A = spec.A
-    A11, A13, A21 = _params(A, spec.d)
-    normA = np.linalg.norm(A)
-    clauses = {
-        "blocks_match_pattern": negligible(A - _covariant_matrix(A11, A13, A21), normA, 1e-9),
-        "a13_symmetric": negligible(A13 - A13.T, normA, 1e-9),
-        "a21_symmetric": negligible(A21 - A21.T, normA, 1e-9),
-    }
-    if all(clauses.values()):
-        clauses["symbol_signature"] = semidefinite(-symbol_exponent(spec).imag, 1e-9)
-        clauses["symplectic"] = is_symplectic(A)
-    else:
-        clauses["symbol_signature"] = False
-        clauses["symplectic"] = False
+    clauses, _blocks, _B = _covariant(spec)
     return all(clauses.values()), clauses
 
 
@@ -163,23 +169,22 @@ def symbol_exponent(spec):
     A11, A13, A21 = _params(spec.A, spec.d)
     I = np.eye(spec.d)
     B = from_blocks(A13, I / 2 - A11, I / 2 - A11.T, -A21)
-    return (B + B.T) / 2
+    return B / 2 + B.T / 2  # halves first: huge entries stay finite
 
 
 def cohen_kernel(spec):
     """Convolution kernel against the Wigner distribution.
 
-    * ``B = 0``: point mass (the representation *is* Wigner) --
-      ``{"type": "delta"}``.
+    * ``B`` negligible against the matrix: point mass (the representation
+      *is* Wigner) -- ``{"type": "delta"}``.
     * ``Im B`` negative definite: a decaying Gaussian state on the doubled
       phase space, ``{"type": "gaussian", "state": ...}`` with
       ``Q = B^{-1}`` and amplitude ``det(iB)^{-1/2}``.
     * otherwise a pure chirp usable on grids only,
       ``{"type": "chirp", "B": B}``.
     """
-    _covariant_params(spec)
-    B = symbol_exponent(spec)
-    if negligible(B, spec.A, 1e-12):
+    _blocks, B = _covariant_params(spec)
+    if B is None:
         return {"type": "delta"}
     if semidefinite(-B.imag, 1e-10, definite=True):
         Q = np.linalg.inv(B)
@@ -198,12 +203,9 @@ def tfr_gaussian(spec, f, g=None):
     phase space; every step stays inside the Gaussian class.  A spec that
     is not covariant is a :class:`ValidationError`, as in :func:`cohen_kernel`.
     """
-    _covariant_params(spec)
+    _blocks, B = _covariant_params(spec)
     W = wigner_gaussian(f, g)
-    B = symbol_exponent(spec)
-    if np.linalg.norm(B) == 0.0:
-        return W
-    return apply_token(multiplier(B), W)
+    return W if B is None else apply_token(multiplier(B), W)
 
 
 def tfr_grid(spec, f, g=None):
@@ -223,11 +225,8 @@ def tfr_grid(spec, f, g=None):
     :func:`cohen_kernel`."""
     if spec.d != 1:
         raise ValidationError("grid route supports d = 1 signals")
-    _covariant_params(spec)
-    B = symbol_exponent(spec)
-    if np.linalg.norm(B) == 0.0:
-        return grid_wigner(f, g)
-    return grid_wigner_multiplier(f, g, B)
+    _blocks, B = _covariant_params(spec)
+    return grid_wigner(f, g) if B is None else grid_wigner_multiplier(f, g, B)
 
 
 # ----------------------------------------------------------------------------
@@ -238,14 +237,29 @@ def _principal_sqrt(z):
     return complex(np.sqrt(complex(z)))
 
 
+def _window_synthesis(A11, A13):
+    """``(X, kappa, q_f, q_g)``: ``X = A13^{-1}``, ``kappa = det(i A13)^{-1/2}``
+    and the symmetrized window exponents ``q_f = conj(X A11)`` and
+    ``q_g = X (A11 - I)``, of an invertible ``A13``.  An exponent beyond the
+    floating-point range comes back inf or nan."""
+    X = np.linalg.inv(A13)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_f = np.conj(X @ A11)
+        q_g = X @ (A11 - np.eye(A11.shape[0]))
+        q_f, q_g = (q_f + q_f.T) / 2, (q_g + q_g.T) / 2
+    return X, det_pow(1j * A13, -0.5), q_f, q_g
+
+
 def classify_spectrogram(spec):
     """Decide whether the representation is a cross-spectrogram
     ``A(f, g) = V_phi f * conj(V_psi g)`` and produce the window pair.
 
-    The three structural clauses are: the consistency equation
-    ``A21 + A11^T A13^{-1} (A11 - I) = 0`` and the two decay signatures
-    ``Im(A11^T A13^{-1}) >= 0`` and ``Im(A13^{-1}(A11 - I)) <= 0``.  When
-    they hold the windows are Gaussians with exponents
+    A numerically singular ``A13`` (Wigner's, say) fails the one clause
+    ``a13_invertible``.  Otherwise the three structural clauses are: the
+    consistency equation ``A21 + A11^T A13^{-1} (A11 - I) = 0`` and the two
+    decay signatures ``Im(A11^T A13^{-1}) >= 0`` and
+    ``Im(A13^{-1}(A11 - I)) <= 0``.  When they hold the windows are
+    Gaussians with exponents
 
         phi:  -conj(A13^{-1} A11),      psi:  -A13^{-1}(A11 - I)
 
@@ -253,40 +267,31 @@ def classify_spectrogram(spec):
     where ``kappa = det(i A13)^{-1/2}`` and ``u = (kappa/|kappa|)^{1/2}``,
     so that both ``c1 c2 = kappa`` and ``conj(c1) c2 = kappa`` hold; the
     latter is what the factorization identity requires.
-
-    Raises
-    ------
-    UnsupportedSingularBlock
-        If ``A13`` is numerically singular (the representation degenerates
-        to a non-spectrogram boundary case).
     """
-    A11, A13, A21 = _covariant_params(spec)
+    (A11, A13, A21), _B = _covariant_params(spec)
     d = spec.d
+    report = {"spectrogram": False, "clauses": {"a13_invertible": False},
+              "window_f": None, "window_g": None}
     sv = np.linalg.svd(A13, compute_uv=False)
     if negligible(sv[-1], sv[0], 1e-12):
-        raise UnsupportedSingularBlock("window extraction needs invertible A13")
-    X = np.linalg.inv(A13)
+        return report
+    X, kappa, q_f, q_g = _window_synthesis(A11, A13)
     I = np.eye(d)
     top = max(np.linalg.norm(A11), np.linalg.norm(A21), np.linalg.norm(X))
-    clauses = {
-        "window_consistency": negligible(A21 + A11.T @ X @ (A11 - I), top ** 2, 1e-8),
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: fails
+        consistency = A21 + A11.T @ X @ (A11 - I)
+    report["clauses"] = clauses = {
+        "window_consistency": negligible(consistency, top ** 2, 1e-8),
         "window_decay_f": semidefinite((A11.T @ X).imag, 1e-8),
         "window_decay_g": semidefinite(-(X @ (A11 - I)).imag, 1e-8),
     }
-    report = {"spectrogram": all(clauses.values()), "clauses": clauses,
-              "window_f": None, "window_g": None}
+    report["spectrogram"] = all(clauses.values())
     if not report["spectrogram"]:
         return report
 
-    kappa = det_pow(1j * A13, -0.5)
     u = _principal_sqrt(kappa / abs(kappa))
     c1 = np.conj(_principal_sqrt(kappa)) * u
     c2 = _principal_sqrt(kappa) * u
-
-    q_f = np.conj(X @ A11)
-    q_f = (q_f + q_f.T) / 2
-    q_g = X @ (A11 - I)
-    q_g = (q_g + q_g.T) / 2
 
     def window(c, q):
         degenerate = not semidefinite(-q.imag, 1e-12, definite=True)
@@ -303,39 +308,39 @@ def classify_pure_spectrogram(spec):
     ``|V_phi f|^2`` (both windows equal) and produce the single window.
 
     Clauses: ``Re A11 = I/2``; ``A13`` purely imaginary with ``Im A13``
-    negative definite; and the moment consistency
+    negative definite, its least eigenvalue beyond ``1e-12`` of the largest
+    (floored at one); and, once that holds, the moment consistency
     ``A21 = A13^{-1}/4 + Im(A11)^T A13^{-1} Im(A11)``.  The window amplitude
     is then ``det(i A13)^{-1/4} > 0``.
     """
-    A11, A13, A21 = _covariant_params(spec)
+    (A11, A13, A21), _B = _covariant_params(spec)
     d = spec.d
-    I = np.eye(d)
     top = max(np.linalg.norm(A11), np.linalg.norm(A13), np.linalg.norm(A21))
 
-    a13_imag = negligible(A13.real, top, 1e-8) and semidefinite(-A13.imag, 0.0, definite=True)
-    clauses = {"re_a11_half": negligible(A11.real - I / 2, top, 1e-8),
+    # definite at the margin of classify_spectrogram's a13_invertible
+    a13_imag = negligible(A13.real, top, 1e-8) and semidefinite(-A13.imag, 1e-12, definite=True)
+    clauses = {"re_a11_half": negligible(A11.real - np.eye(d) / 2, top, 1e-8),
                "a13_imaginary": a13_imag}
     if a13_imag:
-        X = np.linalg.inv(A13)
-        target = X / 4 + A11.imag.T @ X @ A11.imag
-        clauses["a21_consistency"] = negligible(A21 - target, target, 1e-8)
-    else:
-        clauses["a21_consistency"] = False
+        X, kappa, q_f, q = _window_synthesis(A11, A13)
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = X / 4 + A11.imag.T @ X @ A11.imag
+            defect = A21 - target
+        # a target past the float range is not the finite A21
+        clauses["a21_consistency"] = (bool(np.isfinite(target).all())
+                                      and negligible(defect, target, 1e-8))
 
     report = {"pure": all(clauses.values()), "clauses": clauses, "window": None}
     if not report["pure"]:
         return report
 
-    kappa = det_pow(1j * A13, -0.5)
+    if not (np.isfinite(q).all() and np.isfinite(q_f).all()):
+        raise NumericalError("pure spectrogram window leaves the floating-point range")
     if abs(kappa.imag) > 1e-10 * abs(kappa) or kappa.real <= 0:  # a phase: no floor
         raise ModelError("pure spectrogram amplitude must be positive")
-    q = X @ (A11 - I)
-    q = (q + q.T) / 2
-    q_alt = np.conj(X @ A11)
-    if not negligible(q - (q_alt + q_alt.T) / 2, q, 1e-8):
+    if not negligible(q - q_f, q, 1e-8):
         raise ModelError("pure spectrogram windows failed to coincide")
-    c = _principal_sqrt(kappa)
-    report["window"] = GaussianState(d, c, -q, np.zeros(d))
+    report["window"] = GaussianState(d, _principal_sqrt(kappa), -q, np.zeros(d))
     return report
 
 
@@ -356,20 +361,22 @@ def conjugation_symmetric(spec, detail=False):
     threshold the two may fall on either side of it, by at most the
     condition number of that matrix; the pattern verdict then stands.
     """
-    A, d = spec.A, spec.d
-    scale = max(1.0, np.linalg.norm(A))
+    # the defects are linear in A: they are taken of A scaled as its norm
+    # is in scaled_norms, and one that still overflows is inf or nan and fails
+    one, (norm_a,) = scaled_norms(spec.A)
+    A, d, scale = spec.A * one, spec.d, max(one, norm_a)
 
     # column pattern: sign +1 for the first two block rows, -1 for the last
     # two in column 2, and the opposite in column 4
     sign = np.repeat([1.0, -1.0], 2 * d)[:, None]
     A1, A2, A3, A4 = np.hsplit(A, 4)
-    pattern_defect = np.linalg.norm(
-        np.hstack([A2 - sign * A1.conj(), A4 + sign * A3.conj()])) / scale
-
     O = np.zeros((d, d))
     W = _covariant_matrix(np.eye(d) / 2, O, O)
-    T = A @ np.linalg.inv(W)
-    cross_defect = np.linalg.norm(T - tilde(T)) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        pattern_defect = np.linalg.norm(
+            np.hstack([A2 - sign * A1.conj(), A4 + sign * A3.conj()])) / scale
+        T = A @ np.linalg.inv(W)
+        cross_defect = np.linalg.norm(T - tilde(T)) / scale
     pattern, cross = bool(pattern_defect <= 1e-9), bool(cross_defect <= 1e-9)
     low, high = sorted((pattern_defect, cross_defect))
     if pattern != cross and high > np.linalg.cond(W) * low:

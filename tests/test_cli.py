@@ -306,9 +306,43 @@ def test_tfr_windows(runner, files):
     assert abs(abs(wf.c) - 2.0 ** 0.25) < 1e-10
 
 
-def test_tfr_windows_singular_exits_3(runner, files):
+def test_tfr_windows_singular_exits_1(runner, files):
     r = runner.invoke(main, ["tfr", "windows", "--tfr", files["wigner.json"]])
-    assert r.exit_code == 3
+    assert r.exit_code == 1
+    assert r.stderr == ("validation error: representation is not a spectrogram: "
+                        "{'a13_invertible': False}\n")
+
+
+def test_tfr_classify_reports_wigner_as_failed_clauses(runner, files):
+    r = runner.invoke(main, ["tfr", "classify", "--tfr", files["wigner.json"]])
+    assert r.exit_code == 0, r.output
+    rep = json.loads(r.output)
+    assert rep["spectrogram"] == {"spectrogram": False, "clauses": {"a13_invertible": False},
+                                  "window_f": None, "window_g": None}
+    # a21_consistency needs an imaginary definite A13: not tested, not reported
+    assert rep["pure_spectrogram"]["clauses"] == {"re_a11_half": True, "a13_imaginary": False}
+
+
+def test_tfr_classify_of_huge_entries_fails_the_pattern(runner, tmp_path):
+    # every norm of this matrix overflows; inf <= tol * inf passed the block
+    # pattern and the symbol signature
+    path = tmp_path / "huge.json"
+    path.write_text(F.dumps_json({"d": 1, "A": F.dump_matrix(np.full((4, 4), 1e300), 1)}))
+    r = runner.invoke(main, ["tfr", "classify", "--tfr", str(path)])
+    assert r.exit_code == 0 and r.exception is None, r.output
+    assert json.loads(r.output) == {"covariant": False, "clauses": {
+        "blocks_match_pattern": False, "a13_symmetric": True, "a21_symmetric": True}}
+
+
+@pytest.mark.parametrize("command", [["classify"], ["polar"],
+                                     ["gaussian", "apply", "--state", "state.json"]])
+def test_matrix_dimension_disagreeing_with_its_shape_exits_2(runner, files, tmp_path, command):
+    path = tmp_path / "d5.json"
+    path.write_text(F.dumps_json(F.dump_matrix(word_to_matrix([fourier(1)]), 5)))
+    args = [files[a] if a in files else a for a in command] + ["--matrix", str(path)]
+    r = runner.invoke(main, args)
+    _exits_cleanly(r, 2)
+    assert r.stderr == "format error: matrix of dimension d = 5 cannot be 2 x 2\n"
 
 
 def test_evolve_example_csv(runner):

@@ -205,6 +205,59 @@ def test_fuzz_tfr(files, command, spec):
     check(["tfr", command, "--tfr", files[spec]])
 
 
+def _write(files, name, obj):
+    path = os.path.join(os.path.dirname(files["word"]), name)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+complex_numbers = st.tuples(numbers, numbers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["classify", "kernel", "windows"]), st.booleans(),
+       st.lists(complex_numbers, min_size=16, max_size=16))
+def test_fuzz_tfr_spec_entries(files, command, pattern, entries):
+    # the spec file carries drawn entries: sixteen of them, or the first
+    # three as the blocks (A11, A13, A21) of the covariant pattern, which
+    # reaches the classifiers behind the covariance test
+    if pattern:
+        (a, a_im), (b, b_im), (c, c_im) = entries[:3]
+        zero, one = (0.0, 0.0), (1.0, 0.0)
+        entries = [(a, a_im), (1.0 - a, -a_im), (b, b_im), (b, b_im),
+                   (c, c_im), (-c, -c_im), (1.0 - a, -a_im), (-a, -a_im),
+                   zero, zero, one, one,
+                   (-1.0, 0.0), one, zero, zero]
+    rows = [[list(z) for z in entries[i:i + 4]] for i in range(0, 16, 4)]
+    path = _write(files, "drawn_spec.json", {"d": 1, "A": {"d": 1, "rows": rows}})
+    check(["tfr", command, "--tfr", path])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([["classify"], ["polar"], ["gaussian", "apply", "--state"]]),
+       st.sampled_from(["positive", "triangular", "conjugation", "real"]),
+       st.integers(-2, 5))
+def test_fuzz_matrix_dimension(files, command, matrix, d):
+    # a matrix file whose d is drawn: only d = 1 fits its 2 x 2 shape
+    with open(files[matrix]) as fh:
+        obj = json.load(fh)
+    path = _write(files, "drawn_matrix.json", {**obj, "d": d})
+    args = command + ([files["state"]] if command[-1] == "--state" else [])
+    r = check(args + ["--matrix", path])
+    assert (r.exit_code == 2) == (d != 1), (d, r.output)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 710.0), st.floats(0.0, 710.0), st.sampled_from(["state", "sum"]))
+def test_fuzz_intertwine_atom_pair(files, theta1, theta2, state):
+    # each atom_r matrix is finite below theta = 710, their product need not be
+    path = _write(files, "drawn_atoms.json", {"d": 1, "tokens": [
+        {"op": "atom_r", "theta": [theta1]}, {"op": "atom_r", "theta": [theta2]}]})
+    check(["gaussian", "intertwine", "--word", path, "--state", files[state],
+           "--z", "0.3,0.7"])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["heat", "hermite", "harmonic", "ham"]), numbers,
        st.one_of(st.none(), numbers), st.one_of(st.none(), numbers),

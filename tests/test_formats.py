@@ -49,6 +49,28 @@ def test_matrix_round_trip():
     assert np.array_equal(M, M2)
 
 
+@pytest.mark.parametrize("d, n, per, ok", [
+    (1, 1, 1, True), (1, 2, 2, True), (1, 4, 4, True), (3, 3, None, True),
+    (3, 6, None, True), (2, 8, None, True), (5, 2, None, False), (1, 2, 1, False),
+    (2, 2, 2, False), (1, 2, 4, False), (1, 3, None, False)])
+def test_matrix_dimension_must_fit_the_shape(d, n, per, ok):
+    # an exponent on R^d is d x d, a symplectic matrix 2d x 2d, a
+    # representation 4d x 4d; without a kind any of the three
+    obj = F.dump_matrix(np.eye(n), d)
+    if ok:
+        assert F.load_matrix(obj, per=per)[0] == d
+    else:
+        with pytest.raises(FormatError, match=f"dimension d = {d} cannot be {n} x {n}$"):
+            F.load_matrix(obj, per=per)
+
+
+def test_token_parameter_dimension_must_fit_the_shape():
+    word = F.dump_word([chirp(np.array([[0.5j]]))])
+    word["tokens"][0]["Q"]["d"] = 2
+    with pytest.raises(FormatError, match="chirp exponent of dimension d = 2 cannot be 1 x 1$"):
+        F.load_word(word)
+
+
 def test_matrix_load_rejects_ragged():
     with pytest.raises(FormatError):
         F.load_matrix({"d": 1, "rows": [[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})

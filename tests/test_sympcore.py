@@ -13,6 +13,7 @@ from metaplectic.sympcore import (atom_matrix, atom_p, atom_r, atomic_decompose,
                                   is_symplectic, matrix_polar, multiplier,
                                   negligible, omega, positivity_matrix,
                                   random_word, rescale, require_symplectic,
+                                  scaled_norms,
                                   schur_psd_test, semidefinite, sharp, sym_part,
                                   symplectic_svd, tensor_interleave, tilde,
                                   tilde_word, token_matrix, word_to_matrix)
@@ -278,6 +279,14 @@ def test_atom_r_matrix_past_float_range_is_numerical_error():
             word_to_matrix([fourier(len(theta)), atom_r(theta)])
 
 
+def test_word_matrix_past_float_range_is_numerical_error():
+    # each token's matrix is finite, their product is not; the product
+    # raised overflow and invalid RuntimeWarnings before the caller failed
+    assert np.all(np.isfinite(token_matrix(atom_r([700.0]))))
+    with pytest.raises(NumericalError, match="^word matrix leaves the floating-point range$"):
+        word_to_matrix([atom_r([700.0]), atom_r([700.0])])
+
+
 def test_atom_matrix_disjoint_atoms_commute():
     th = np.array([0.5, 0.0])
     de = np.array([0.0, 1.2])
@@ -536,6 +545,21 @@ def test_negligible_is_one_floored_relative_rule():
     assert not negligible(float("nan"), 1.0, 1.0)
     assert not negligible(np.array([1.0, np.nan]), 1e300, 1.0)
     assert negligible(1e300, float("inf"), 1e-9)
+
+
+def test_negligible_decides_on_norms_that_overflow():
+    # every entry is finite but the squared norms overflow: inf <= tol * inf
+    # passed anything, with an overflow RuntimeWarning
+    A = np.full((4, 4), 1e300)
+    assert not negligible(A / 2, A, 1e-9)
+    assert negligible(A * 1e-10, A, 1e-9) and not negligible(A * 1e-8, A, 1e-9)
+    assert not negligible(np.array([1e300, 1e300]), 1.0, 1e-9)
+    assert negligible(np.array([1e-300]), np.array([1e300, 1e300]), 1e-9)
+    assert not negligible(np.array([np.nan, 1e300, 1e300]), A, 1.0)
+    # the power of two is exact: the scaled norms keep their ratios
+    one, (small, big) = scaled_norms(A * 0.25, A)
+    assert small == big / 4 and one == 2.0 ** -997
+    assert scaled_norms(np.ones(4), 3.0) == (1.0, [2.0, 3.0])
 
 
 def test_block_triangular_notes_a_complex_invertible_diagonal_block():

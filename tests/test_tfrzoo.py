@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from metaplectic.errors import (ModelError, UnsupportedSingularBlock,
-                                ValidationError)
+from metaplectic.errors import ModelError, ValidationError
 from metaplectic.gausscalc import (GaussianState, apply_word, eval_state,
                                    inner_product, norm, shift,
                                    standard_gaussian, wigner_gaussian)
@@ -75,6 +74,16 @@ def test_is_covariant_rejects_off_pattern():
     ok, clauses = is_covariant(bad)
     assert not ok
     assert not clauses["blocks_match_pattern"]
+
+
+def test_is_covariant_leaves_out_untested_clauses():
+    # the sign and symplectic clauses are tested only on the covariant pattern
+    A = husimi_spec().A.copy()
+    A[3, 0] += 0.7
+    ok, clauses = is_covariant(TFRSpec(1, A))
+    assert not ok
+    assert clauses == {"blocks_match_pattern": False, "a13_symmetric": True,
+                       "a21_symmetric": True}
 
 
 def test_symbol_exponent_husimi():
@@ -211,9 +220,22 @@ def test_spectrogram_factorization_identity(rng):
         assert abs(lhs - rhs) < 1e-12
 
 
-def test_classify_spectrogram_rejects_singular_block():
-    with pytest.raises(UnsupportedSingularBlock):
-        classify_spectrogram(wigner_spec())
+def test_classify_spectrogram_reports_singular_block():
+    # Wigner's A13 = 0 is covariant, simply not a spectrogram: a failed clause
+    assert classify_spectrogram(wigner_spec()) == {
+        "spectrogram": False, "clauses": {"a13_invertible": False},
+        "window_f": None, "window_g": None}
+
+
+def test_spectrogram_clauses_past_the_float_range_fail():
+    # A11 = 1e150 and A13^{-1} = 1e11 i take A11^T A13^{-1} A11 past the
+    # float range; the finite A21 cannot cancel it, so the clauses fail
+    # without an overflow RuntimeWarning
+    spec = build_covariant(1e150 * I1, -1e-11j * I1, np.zeros((1, 1)))
+    assert classify_spectrogram(spec)["clauses"] == {
+        "window_consistency": False, "window_decay_f": True, "window_decay_g": False}
+    assert classify_pure_spectrogram(spec)["clauses"] == {
+        "re_a11_half": False, "a13_imaginary": True, "a21_consistency": False}
 
 
 def test_classify_pure_spectrogram():
@@ -223,6 +245,20 @@ def test_classify_pure_spectrogram():
     rep = classify_pure_spectrogram(skew_spec())
     assert not rep["pure"]
     assert not rep["clauses"]["re_a11_half"]
+
+
+def test_pure_spectrogram_leaves_out_the_untested_consistency():
+    rep = classify_pure_spectrogram(skew_spec())
+    assert rep["clauses"] == {"re_a11_half": False, "a13_imaginary": False}
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e300, 4e307])
+def test_conjugation_symmetric_with_huge_entries(factor):
+    # the norms of the scaled Husimi matrix overflow; the verdicts are those
+    # of the matrix itself, with no RuntimeWarning
+    ok, detail = conjugation_symmetric(TFRSpec(1, husimi_spec().A * factor), detail=True)
+    assert ok and all(detail.values())
+    assert not conjugation_symmetric(TFRSpec(1, skew_spec().A * factor))
 
 
 def test_conjugation_symmetric_flags():
